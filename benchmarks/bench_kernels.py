@@ -1,12 +1,12 @@
 """Substrate bench A5 — columnar kernels vs the scalar reference paths.
 
 Measures the speedup of the vectorized execution engine
-(:mod:`repro.geometry.kernels`) over the object-at-a-time scalar paths it
-replaced, on the three hot spots the engine targets:
+(:mod:`repro.geometry.kernels`) over the object-at-a-time scalar API
+(``count_violations``, ``predicate.test``), on the two hot spots the engine
+targets:
 
 * batched ``count_violations`` over a population of assignments,
-* ``find_best_value`` node scoring inside the R*-tree branch-and-bound,
-* the brute-force multiway join oracle.
+* ``find_best_value`` node scoring inside the R*-tree branch-and-bound.
 
 Besides the pytest output, the measured timings land in the perf ledger
 (one validated JSONL row per section via
@@ -32,11 +32,9 @@ from conftest import record_table, scaled_int
 from repro import QueryGraph, Rect, bulk_load, hard_instance
 from repro.bench import format_table
 from repro.bench.ledger import emit_sections, timer_stats
-from repro.core.best_value import find_best_value
 from repro.core.evaluator import QueryEvaluator
 from repro.geometry import INTERSECTS
 from repro.geometry.kernels import make_count_scorer
-from repro.joins.brute import brute_force_best, brute_force_join
 
 #: collected {section: [row dict, ...]}; flushed to JSON at session end
 _RESULTS: dict[str, list[dict]] = {}
@@ -49,11 +47,11 @@ SPEEDUP_GATE_FLOOR_S = 2e-3
 _JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_kernels.json")
 
 
-def _time(callable_, repeats: int = 3) -> tuple[list[float], object]:
-    """Every repeat's wall time (best-of = ``min``) and the last return value."""
+def _time(callable_) -> tuple[list[float], object]:
+    """Three repeats' wall times (best-of = ``min``) and the last return value."""
     samples: list[float] = []
     value = None
-    for _ in range(repeats):
+    for _ in range(3):
         started = time.perf_counter()
         value = callable_()
         samples.append(time.perf_counter() - started)
@@ -101,17 +99,13 @@ def _flush_results():
             # speedup gates everywhere at the tight threshold — but only
             # when the vectorized side is slow enough to time reliably.
             # Ratios of sub-millisecond best-of-N timings swing well past
-            # 10 % run-to-run, so those (and the single-repeat brute-force
-            # oracles) are tracked ungated.
-            stable_repeats = row["timer"]["repeats"] >= 3
-            stable_ratio = (
-                stable_repeats and row["vectorized_s"] >= SPEEDUP_GATE_FLOOR_S
-            )
+            # 10 % run-to-run, so those are tracked ungated.
+            stable_ratio = row["vectorized_s"] >= SPEEDUP_GATE_FLOOR_S
             sections.append({
                 "section": f"{section}[{row['size']}]",
                 "value": row["vectorized_s"],
                 "unit": "s",
-                "better": "lower" if stable_repeats else None,
+                "better": "lower",
                 "timer": row["timer"],
                 "meta": {"size": row["size"], "scalar_s": row["scalar_s"]},
             })
@@ -139,18 +133,17 @@ def test_count_violations_batch(size):
     """Population evaluation: one kernel call vs an assignment-at-a-time loop."""
     query = QueryGraph.clique(4)
     instance = hard_instance(query, cardinality=size, seed=11)
-    scalar = QueryEvaluator(instance, use_kernels=False)
-    vector = QueryEvaluator(instance)
+    evaluator = QueryEvaluator(instance)
     rng = np.random.default_rng(11)
     population = rng.integers(
         0, size, size=(scaled_int(512, minimum=32), query.num_variables)
     )
 
     scalar_samples, scalar_counts = _time(
-        lambda: scalar.count_violations_batch(population)
+        lambda: [evaluator.count_violations(row) for row in population.tolist()]
     )
     vector_samples, vector_counts = _time(
-        lambda: vector.count_violations_batch(population)
+        lambda: evaluator.count_violations_batch(population)
     )
     assert np.array_equal(np.asarray(scalar_counts), np.asarray(vector_counts))
     _record("count_violations_batch", size, scalar_samples, vector_samples)
@@ -164,8 +157,7 @@ def test_find_best_value_node_scoring(size):
     that a full search touches only dozens of nodes; to measure scoring
     *throughput* (the quantity the kernels accelerate) every node of the
     tree is scored once through both paths, exactly as the search scores
-    the nodes it does visit.  A full ``find_best_value`` parity check rides
-    along.
+    the nodes it does visit.
     """
     rng = random.Random(7)
     entries = [
@@ -209,42 +201,4 @@ def test_find_best_value_node_scoring(size):
     scalar_samples, scalar_total = _time(scalar_scoring)
     vector_samples, vector_total = _time(vector_scoring)
     assert scalar_total == vector_total
-    scalar_best = find_best_value(tree, constraints, 0.0, use_kernels=False)
-    vector_best = find_best_value(tree, constraints, 0.0)
-    assert scalar_best is not None and vector_best is not None
-    assert scalar_best.item == vector_best.item
-    assert scalar_best.score == vector_best.score
     _record("find_best_value_node_scoring", size, scalar_samples, vector_samples)
-
-
-@pytest.mark.parametrize("size", [scaled_int(40), scaled_int(70)])
-def test_brute_force_join(size):
-    """Broadcast join (predicate matrices) vs the object-at-a-time product."""
-    query = QueryGraph.chain(3)
-    instance = hard_instance(query, cardinality=size, seed=5,
-                             target_solutions=4.0)
-
-    scalar_samples, scalar_tuples = _time(
-        lambda: list(brute_force_join(instance, use_kernels=False)), repeats=1
-    )
-    vector_samples, vector_tuples = _time(
-        lambda: list(brute_force_join(instance)), repeats=1
-    )
-    assert scalar_tuples == vector_tuples
-    _record("brute_force_join", size, scalar_samples, vector_samples)
-
-
-def test_brute_force_best():
-    """Best-approximate oracle: vectorized last-variable resolution."""
-    size = scaled_int(40)
-    query = QueryGraph.clique(3)
-    instance = hard_instance(query, cardinality=size, seed=9)
-
-    scalar_samples, scalar_best = _time(
-        lambda: brute_force_best(instance, use_kernels=False), repeats=1
-    )
-    vector_samples, vector_best = _time(
-        lambda: brute_force_best(instance), repeats=1
-    )
-    assert scalar_best == vector_best
-    _record("brute_force_best", size, scalar_samples, vector_samples)

@@ -1,9 +1,9 @@
 """Pluggable AST-based static analysis for the repro engine.
 
-PR 1 introduced conventions that nothing enforced statically: vectorized
-paths keep ``use_kernels=False`` scalar twins, :class:`~repro.index.node.Node`
-mutators invalidate the cached bounds array, and all randomness / clock
-access flows through seeded RNGs and :class:`~repro.core.budget.Budget`.
+PR 1 introduced conventions that nothing enforced statically:
+:class:`~repro.index.node.Node` mutators invalidate the cached bounds
+array, and all randomness / clock access flows through seeded RNGs and
+:class:`~repro.core.budget.Budget`.
 This module is the enforcement layer — a small checker framework that
 parses every source file once, hands the tree to a registry of project
 rules (:mod:`repro.analysis.rules`), and reports :class:`Finding` records
@@ -14,8 +14,8 @@ Architecture
 * :class:`Checker` — one rule; subclasses register themselves with
   :func:`register` and receive a parsed :class:`Module` per file.
 * :class:`AnalysisContext` — project-level inputs shared by all checkers
-  (the project root and the kernel-parity registry extracted from
-  ``tests/test_kernels.py``).
+  (the project root and the span/metric name registry extracted from
+  ``src/repro/obs/names.py``).
 * :func:`analyze_paths` / :func:`lint_source` — the batch and single-source
   entry points; the ``repro-lint`` console script wraps the former.
 * Suppressions — a trailing ``# repro-lint: disable=RL001`` comment mutes
@@ -109,22 +109,15 @@ class Finding:
 class AnalysisContext:
     """Project-level inputs shared by every checker.
 
-    ``kernel_registry`` is the set of identifiers appearing in the kernel
-    parity suite (``tests/test_kernels.py``): RL004 requires every public
-    ``use_kernels`` entry point to appear there.  ``obs_names`` is the set
-    of dotted span/metric names declared in ``src/repro/obs/names.py``:
-    RL006 requires every ``span(...)``/``counter(...)`` call site to use
-    one of them.  ``None`` for either registry means the source file could
-    not be located, and the corresponding registration requirement is
-    skipped (the structural half of each rule still runs).
+    ``obs_names`` is the set of dotted span/metric names declared in
+    ``src/repro/obs/names.py``: RL006 requires every
+    ``span(...)``/``counter(...)`` call site to use one of them.  ``None``
+    means the source file could not be located, and the registration
+    requirement is skipped (the structural half of the rule still runs).
     """
 
     root: Path
-    kernel_registry: frozenset[str] | None = None
     obs_names: frozenset[str] | None = None
-
-    #: project-relative files whose identifiers feed ``kernel_registry``
-    KERNEL_REGISTRY_FILES = ("tests/test_kernels.py",)
 
     #: project-relative files whose string literals feed ``obs_names``
     OBS_NAMES_FILES = ("src/repro/obs/names.py",)
@@ -132,13 +125,6 @@ class AnalysisContext:
     @classmethod
     def from_root(cls, root: Path | str) -> "AnalysisContext":
         root = Path(root).resolve()
-        names: set[str] = set()
-        found = False
-        for relative in cls.KERNEL_REGISTRY_FILES:
-            candidate = root / relative
-            if candidate.is_file():
-                found = True
-                names.update(_identifiers(candidate.read_text(encoding="utf-8")))
         obs_names: set[str] = set()
         obs_found = False
         for relative in cls.OBS_NAMES_FILES:
@@ -150,14 +136,8 @@ class AnalysisContext:
                 )
         return cls(
             root=root,
-            kernel_registry=frozenset(names) if found else None,
             obs_names=frozenset(obs_names) if obs_found else None,
         )
-
-
-def _identifiers(source: str) -> set[str]:
-    """Every identifier-shaped token in ``source`` (registry extraction)."""
-    return set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", source))
 
 
 _DOTTED_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")

@@ -1,4 +1,5 @@
-"""The repro project's invariant checkers (rules RL001–RL014).
+"""The repro project's invariant checkers (thirteen rules in RL001–RL014;
+the id after RL003 is retired and not reused).
 
 Each rule encodes one convention the engine's correctness or
 reproducibility depends on; see ``docs/static-analysis.md`` for the full
@@ -11,8 +12,6 @@ RL001             unseeded randomness outside ``tests/``
 RL002             raw clock access outside ``core/budget.py``,
                   ``benchmarks/``, ``obs/`` and ``bench/ledger.py``
 RL003             ``Node`` mutators that skip bounds-cache invalidation
-RL004             ``use_kernels`` entry points without a scalar twin or
-                  a registered parity test
 RL005             search loops in ``core/`` bypassing :class:`Budget`
 RL006             span/metric names that are not dotted-lowercase
                   literals registered in ``obs/names.py``
@@ -56,7 +55,6 @@ __all__ = [
     "UnseededRandomness",
     "ClockDiscipline",
     "CacheInvalidation",
-    "KernelParity",
     "BudgetDiscipline",
     "ObservabilityNames",
     "ServiceBudgetDiscipline",
@@ -442,57 +440,6 @@ class CacheInvalidation(Checker):
             ):
                 return True
         return False
-
-
-# ----------------------------------------------------------------------
-# RL004 — kernel parity
-# ----------------------------------------------------------------------
-@register
-class KernelParity(Checker):
-    """Every ``use_kernels`` entry point keeps a reachable scalar twin and
-    a registered parity test.
-
-    The vectorized/scalar contract is bit-for-bit agreement; a flag that is
-    accepted but ignored silently drops the scalar escape hatch, and an
-    entry point missing from ``tests/test_kernels.py`` has no oracle
-    guarding that agreement.
-    """
-
-    rule = "RL004"
-    description = "use_kernels entry points need a scalar twin and a parity test"
-
-    PARAMETER = "use_kernels"
-    REGISTRY_FILE = "tests/test_kernels.py"
-
-    def applies(self, module: Module) -> bool:
-        return not _in_tests(module)
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        registry = module.context.kernel_registry
-        for func, owner in _functions(module.tree):
-            if self.PARAMETER not in _arg_names(func):
-                continue
-            if self.PARAMETER not in _body_names(func):
-                yield self.finding(
-                    module,
-                    func,
-                    f"{func.name} accepts use_kernels but never consults it; "
-                    "the scalar twin is unreachable",
-                    hint="branch on use_kernels or forward it to the "
-                    "implementation that does",
-                )
-            registered_as = owner.name if owner is not None else func.name
-            if registered_as.startswith("_"):
-                continue  # private helpers are covered via their public caller
-            if registry is not None and registered_as not in registry:
-                yield self.finding(
-                    module,
-                    func,
-                    f"no parity test in {self.REGISTRY_FILE} references "
-                    f"{registered_as!r}",
-                    hint=f"add a kernels-vs-scalar parity test exercising "
-                    f"{registered_as} to {self.REGISTRY_FILE}",
-                )
 
 
 # ----------------------------------------------------------------------

@@ -805,7 +805,7 @@ def _cmd_bench_ledger(args: argparse.Namespace) -> int:
         bench, separator, section = args.section.partition("/")
         if not separator:
             print("--section expects BENCH/SECTION "
-                  "(e.g. kernels/brute_force_join[40])", file=sys.stderr)
+                  "(e.g. kernels/count_violations_batch[5000])", file=sys.stderr)
             return 2
         series = section_series(rows, bench, section)
         if not series:

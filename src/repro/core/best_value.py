@@ -21,8 +21,9 @@ This single routine powers all three heuristics:
 Since it is *the* hot loop of the whole library, node entries are scored
 with the columnar NumPy kernels of :mod:`repro.geometry.kernels`: each node
 caches a packed ``(len, 4)`` bounds array and all of its entries are scored
-in one vectorized call.  ``use_kernels=False`` selects the original scalar
-loops — the oracle the property suite checks the kernels against.
+in one vectorized call.  :func:`brute_force_best_value` — a scalar scan
+through ``predicate.test`` that shares no code with the search — is the
+oracle the property suite checks it against.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..geometry import Intersects, Rect, RectColumns, SpatialPredicate
-from ..geometry.kernels import count_satisfied, make_count_scorer
+from ..geometry import Intersects, Rect, SpatialPredicate
+from ..geometry.kernels import make_count_scorer
 from ..index import RStarTree
 from ..index.node import Node
 from ..obs import current
@@ -65,9 +66,14 @@ def find_best_value(
     constraints: list[tuple[SpatialPredicate, Rect]],
     floor_score: float,
     penalty: Callable[[Any], float] | None = None,
-    use_kernels: bool = True,
 ) -> BestValue | None:
     """Best object of ``tree`` under the multi-window criterion.
+
+    Vectorized branch-and-bound: one kernel call scores a whole node.  For
+    the default all-``intersects`` case the leaf test and the
+    intermediate-node admissible filter coincide, so a single broadcast
+    against the packed window array serves both roles; other predicate mixes
+    go through the generic per-constraint kernels.
 
     Parameters
     ----------
@@ -82,10 +88,6 @@ def find_best_value(
     penalty:
         Optional GILS hook mapping an object id to its penalty contribution
         ``λ·penalty(v←r)``; leaf scores become ``satisfied − penalty(item)``.
-    use_kernels:
-        Score whole nodes with the vectorized NumPy kernels (default).
-        ``False`` runs the original scalar loops; both paths return
-        identical results (enforced by the property suite).
 
     Returns ``None`` when no object beats ``floor_score`` (in particular
     when ``constraints`` is empty, since no object can then improve
@@ -94,44 +96,14 @@ def find_best_value(
     if not constraints:
         return None
     tree.stats.best_value_searches += 1
-    obs = current()
-    if obs.enabled:
-        if use_kernels:
-            obs.counter("best_value.kernel_searches").inc()
-        else:
-            obs.counter("best_value.scalar_searches").inc()
     if tree.root.mbr is None:
         return None
     all_intersects = all(type(predicate) is Intersects for predicate, _w in constraints)
-    if use_kernels:
-        return _find_best_value_kernels(
-            tree, constraints, floor_score, penalty, all_intersects
-        )
-    if all_intersects:
-        # the paper's default condition: use the inlined hot path
-        return _find_best_value_intersects_scalar(tree, constraints, floor_score, penalty)
-    return _find_best_value_scalar(tree, constraints, floor_score, penalty)
-
-
-def _find_best_value_kernels(
-    tree: RStarTree,
-    constraints: list[tuple[SpatialPredicate, Rect]],
-    floor_score: float,
-    penalty: Callable[[Any], float] | None,
-    all_intersects: bool,
-) -> BestValue | None:
-    """Vectorized branch-and-bound: one kernel call scores a whole node.
-
-    For the default all-``intersects`` case the leaf test and the
-    intermediate-node admissible filter coincide, so a single broadcast
-    against the packed window array serves both roles; other predicate mixes
-    go through the generic per-constraint kernels.
-    """
     if all_intersects:
         # leaf test and admissible filter coincide: one pre-packed broadcast
         scorer = make_count_scorer(constraints)
 
-        def score_node(node: Node, _is_leaf: bool) -> np.ndarray:
+        def score_node(node: Node, is_leaf: bool) -> np.ndarray:
             return scorer(node.bounds_array())
 
     else:
@@ -167,8 +139,8 @@ def _find_best_value_kernels(
         if candidates.size == 0:
             return
         # visit high-count entries first so the bound tightens early; the
-        # stable sort preserves entry order among ties, matching the scalar
-        # path's stable list sort exactly
+        # stable sort keeps entry order among ties, so the first-found
+        # winner is deterministic
         order = candidates[np.argsort(-counts[candidates], kind="stable")]
         children = node.children
         if is_leaf:
@@ -193,179 +165,18 @@ def _find_best_value_kernels(
     return best
 
 
-def _find_best_value_scalar(
-    tree: RStarTree,
-    constraints: list[tuple[SpatialPredicate, Rect]],
-    floor_score: float,
-    penalty: Callable[[Any], float] | None,
-) -> BestValue | None:
-    """Original object-at-a-time search (the kernel oracle)."""
-    best: BestValue | None = None
-    best_score = floor_score
-    stats = tree.stats
-    pager = tree.pager
-    if pager is not None:
-        obs = current()
-        buffer_hits = obs.counter("index.buffer.hit")
-        buffer_misses = obs.counter("index.buffer.miss")
-
-    def descend(node: Node) -> None:
-        nonlocal best, best_score
-        stats.node_reads += 1
-        if pager is not None:
-            if pager.access(id(node)):
-                buffer_hits.inc()
-            else:
-                buffer_misses.inc()
-        if node.is_leaf:
-            stats.leaf_reads += 1
-            scored: list[tuple[int, Rect, Any]] = []
-            for rect, item in node.entries():
-                satisfied = 0
-                for predicate, window in constraints:
-                    if predicate.test(rect, window):
-                        satisfied += 1
-                if satisfied > best_score:
-                    scored.append((satisfied, rect, item))
-            # visit high-count entries first so the bound tightens early
-            scored.sort(key=lambda entry: entry[0], reverse=True)
-            for satisfied, rect, item in scored:
-                if satisfied <= best_score:
-                    break  # sorted: the rest are no better
-                score = float(satisfied)
-                if penalty is not None:
-                    score -= penalty(item)
-                if score > best_score:
-                    best_score = score
-                    best = BestValue(item, rect, satisfied, score)
-            return
-        candidates: list[tuple[int, Node]] = []
-        for rect, child in node.entries():
-            may_satisfy = 0
-            for predicate, window in constraints:
-                if predicate.node_may_satisfy(rect, window):
-                    may_satisfy += 1
-            if may_satisfy > best_score:
-                candidates.append((may_satisfy, child))
-        candidates.sort(key=lambda entry: entry[0], reverse=True)
-        for may_satisfy, child in candidates:
-            # re-check: descending a sibling may have raised the bound
-            if may_satisfy > best_score:
-                descend(child)
-
-    descend(tree.root)
-    return best
-
-
-def _find_best_value_intersects_scalar(
-    tree: RStarTree,
-    constraints: list[tuple[SpatialPredicate, Rect]],
-    floor_score: float,
-    penalty: Callable[[Any], float] | None,
-) -> BestValue | None:
-    """Scalar hot path for all-``intersects`` queries.
-
-    Behaviourally identical to the generic search; the rectangle/window
-    tests are inlined on raw coordinates because for ``intersects`` the
-    leaf test and the intermediate-node admissible filter coincide (a child
-    can only intersect a window its parent's MBR intersects).
-    """
-    windows = [(w.xmin, w.ymin, w.xmax, w.ymax) for _p, w in constraints]
-    best: BestValue | None = None
-    best_score = floor_score
-    stats = tree.stats
-    pager = tree.pager
-    if pager is not None:
-        obs = current()
-        buffer_hits = obs.counter("index.buffer.hit")
-        buffer_misses = obs.counter("index.buffer.miss")
-
-    def descend(node: Node) -> None:
-        nonlocal best, best_score
-        stats.node_reads += 1
-        if pager is not None:
-            if pager.access(id(node)):
-                buffer_hits.inc()
-            else:
-                buffer_misses.inc()
-        is_leaf = node.is_leaf
-        if is_leaf:
-            stats.leaf_reads += 1
-        scored: list[tuple[int, Rect, Any]] = []
-        for position, rect in enumerate(node.bounds):
-            xmin, ymin, xmax, ymax = rect
-            satisfied = 0
-            for wxmin, wymin, wxmax, wymax in windows:
-                if xmin <= wxmax and wxmin <= xmax and ymin <= wymax and wymin <= ymax:
-                    satisfied += 1
-            if satisfied > best_score:
-                scored.append((satisfied, rect, node.children[position]))
-        scored.sort(key=lambda entry: entry[0], reverse=True)
-        if is_leaf:
-            for satisfied, rect, item in scored:
-                if satisfied <= best_score:
-                    break
-                score = float(satisfied)
-                if penalty is not None:
-                    score -= penalty(item)
-                if score > best_score:
-                    best_score = score
-                    best = BestValue(item, rect, satisfied, score)
-        else:
-            for satisfied, _rect, child in scored:
-                if satisfied > best_score:
-                    descend(child)
-
-    descend(tree.root)
-    return best
-
-
 def brute_force_best_value(
-    rects: Sequence[Rect] | RectColumns,
+    rects: Sequence[Rect],
     constraints: list[tuple[SpatialPredicate, Rect]],
     floor_score: float,
     penalty: Callable[[Any], float] | None = None,
-    use_kernels: bool = True,
 ) -> BestValue | None:
     """Reference implementation scanning every object; the test oracle for
-    :func:`find_best_value` (identical contract, no index).
-
-    Accepts either a plain rectangle sequence or a pre-built
-    :class:`~repro.geometry.kernels.RectColumns`; with ``use_kernels`` the
-    scan is a handful of NumPy reductions instead of an object-at-a-time
-    loop.
+    :func:`find_best_value` (identical contract, no index, no kernels —
+    every condition goes through ``predicate.test``).
     """
     if not constraints:
         return None
-    if use_kernels:
-        columns = (
-            rects if isinstance(rects, RectColumns) else RectColumns.from_rects(rects)
-        )
-        counts = count_satisfied(columns, constraints)
-        candidates = np.flatnonzero(counts > floor_score)
-        if candidates.size == 0:
-            return None
-        if penalty is None:
-            # first occurrence of the maximum == the scalar loop's winner
-            position = int(candidates[np.argmax(counts[candidates])])
-            satisfied = int(counts[position])
-            return BestValue(position, columns.rect(position), satisfied, float(satisfied))
-        # penalties are non-negative, so only rows with counts > floor can
-        # exceed the floor after subtraction; score just those
-        scores = counts[candidates].astype(np.float64)
-        scores -= np.array([penalty(int(item)) for item in candidates])
-        best_relative = int(np.argmax(scores))
-        if scores[best_relative] <= floor_score:
-            return None
-        position = int(candidates[best_relative])
-        return BestValue(
-            position,
-            columns.rect(position),
-            int(counts[position]),
-            float(scores[best_relative]),
-        )
-    if isinstance(rects, RectColumns):
-        rects = [rects.rect(index) for index in range(len(rects))]
     best: BestValue | None = None
     best_score = floor_score
     for item, rect in enumerate(rects):

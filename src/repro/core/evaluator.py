@@ -12,8 +12,8 @@ but everything population-shaped is vectorized through the columnar kernels:
 :meth:`QueryEvaluator.count_violations_batch` and
 :meth:`QueryEvaluator.satisfied_counts_batch` evaluate a whole matrix of
 assignments with one gather + one predicate kernel per query edge, which is
-what SEA's population construction and the benchmark suite use.
-``use_kernels=False`` keeps every path object-at-a-time for oracle testing.
+what SEA's population construction and the benchmark suite use.  The
+scalar methods are the reference the batched ones are tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = ["QueryEvaluator"]
 class QueryEvaluator:
     """Precomputed adjacency + rectangle tables for fast violation counting."""
 
-    def __init__(self, instance: ProblemInstance, use_kernels: bool = True):
+    def __init__(self, instance: ProblemInstance):
         if not instance.query.is_connected():
             raise ValueError(
                 "disconnected query graphs are Cartesian products; "
@@ -44,7 +44,6 @@ class QueryEvaluator:
             )
         self.instance = instance
         self.query = instance.query
-        self.use_kernels = use_kernels
         self.num_variables = instance.query.num_variables
         self.num_constraints = instance.query.num_edges
         #: rects[i][oid] — the MBR of object ``oid`` of dataset ``i``
@@ -135,10 +134,6 @@ class QueryEvaluator:
         obs = current()
         if obs.enabled:
             obs.counter("eval.batch_rows").inc(len(matrix))
-        if not self.use_kernels:
-            return np.array(
-                [self.count_violations(row) for row in matrix.tolist()], dtype=np.intp
-            )
         violations = np.zeros(len(matrix), dtype=np.intp)
         for _i, _j, mask in self._edge_masks(matrix):
             violations += ~mask
@@ -153,10 +148,6 @@ class QueryEvaluator:
             raise ValueError(
                 f"expected a (k, {self.num_variables}) value matrix, "
                 f"got shape {matrix.shape}"
-            )
-        if not self.use_kernels:
-            return np.array(
-                [self.satisfied_counts(row) for row in matrix.tolist()], dtype=np.intp
             )
         counts = np.zeros(matrix.shape, dtype=np.intp)
         for i, j, mask in self._edge_masks(matrix):
@@ -180,8 +171,6 @@ class QueryEvaluator:
         values_list = [list(values) for values in values_list]
         if not values_list:
             return []
-        if not self.use_kernels:
-            return [self.make_state(values) for values in values_list]
         counts = self.satisfied_counts_batch(values_list)
         return [
             SolutionState.from_counts(self, values, row)
@@ -221,8 +210,8 @@ class QueryEvaluator:
         """``count`` random states, batch-evaluated.
 
         Draws from ``rng`` in exactly the same order as ``count`` successive
-        :meth:`random_state` calls, so seeded runs are reproducible across
-        the scalar and batched construction paths.
+        :meth:`random_state` calls, so a seeded population equals the one
+        built state by state.
         """
         values_list = [self.random_values(rng) for _ in range(count)]
         return self.make_states(values_list)

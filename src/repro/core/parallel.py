@@ -286,7 +286,6 @@ _WORKER_CHECKPOINTS: Any = None
 
 def _init_worker(
     instance: ProblemInstance | None,
-    use_kernels: bool,
     observe_members: bool = False,
     fault_plan: dict[str, Any] | None = None,
     checkpoint_queue: Any = None,
@@ -304,7 +303,7 @@ def _init_worker(
 
         instance = attach_instance(warm)
     _WORKER_INSTANCE = instance
-    _WORKER_EVALUATOR = QueryEvaluator(instance, use_kernels=use_kernels)
+    _WORKER_EVALUATOR = QueryEvaluator(instance)
     _WORKER_OBSERVE = observe_members
     _WORKER_CHECKPOINTS = checkpoint_queue
     activate_plan(FaultPlan.from_dict(fault_plan))
@@ -516,7 +515,6 @@ def _supervised_pool_run(
     instance: ProblemInstance,
     specs: list[RunSpec],
     workers: int,
-    use_kernels: bool,
     observe_members: bool,
     plan: FaultPlan | None,
     policy: SupervisionPolicy,
@@ -558,7 +556,6 @@ def _supervised_pool_run(
                 initializer=_init_worker,
                 initargs=(
                     None if warm is not None else instance,
-                    use_kernels,
                     observe_members,
                     plan_payload,
                     sink,
@@ -688,7 +685,6 @@ def run_specs(
     specs: list[RunSpec],
     workers: int | None = None,
     evaluator: QueryEvaluator | None = None,
-    use_kernels: bool = True,
     observe_members: bool | None = None,
     fault_plan: FaultPlan | None = None,
     supervision: SupervisionPolicy | None = None,
@@ -717,7 +713,6 @@ def run_specs(
         specs,
         workers=workers,
         evaluator=evaluator,
-        use_kernels=use_kernels,
         observe_members=observe_members,
         fault_plan=fault_plan,
         supervision=supervision,
@@ -732,7 +727,6 @@ def run_specs_supervised(
     specs: list[RunSpec],
     workers: int | None = None,
     evaluator: QueryEvaluator | None = None,
-    use_kernels: bool = True,
     observe_members: bool | None = None,
     fault_plan: FaultPlan | None = None,
     supervision: SupervisionPolicy | None = None,
@@ -763,14 +757,14 @@ def run_specs_supervised(
     checkpoint_store: dict[int, _Checkpoint] = {}
 
     if workers == 1 or len(specs) <= 1:
-        evaluator = evaluator or QueryEvaluator(instance, use_kernels=use_kernels)
+        evaluator = evaluator or QueryEvaluator(instance)
         results = _supervised_inline_run(
             instance, specs, evaluator, observe_members, plan, policy,
             want_checkpoints, ledger, checkpoint_store,
         )
     else:
         results = _supervised_pool_run(
-            instance, specs, workers, use_kernels, observe_members, plan, policy,
+            instance, specs, workers, observe_members, plan, policy,
             want_checkpoints, ledger, checkpoint_store, warm=warm,
         )
 
@@ -798,7 +792,6 @@ def parallel_restarts(
     restarts: int = 4,
     workers: int | None = None,
     evaluator: QueryEvaluator | None = None,
-    use_kernels: bool = True,
     fault_plan: FaultPlan | None = None,
     supervision: SupervisionPolicy | None = None,
     checkpoints: bool | None = None,
@@ -847,7 +840,6 @@ def parallel_restarts(
             specs,
             workers,
             evaluator,
-            use_kernels,
             fault_plan=fault_plan,
             supervision=supervision,
             checkpoints=checkpoints,

@@ -275,41 +275,20 @@ def _scalar_count(
                 counts[position] += 1
 
 
-def _intersects_counts(
-    rows: Columns, constraints: Sequence[tuple[SpatialPredicate, Rect]]
-) -> np.ndarray:
-    """All-``intersects`` fast path: one broadcast over all windows at once.
-
-    The dominant case in the paper (every experiment uses ``overlap``
-    queries); a single ``(n, m)`` broadcast beats ``m`` separate
-    per-constraint kernel calls because the NumPy dispatch overhead is paid
-    once instead of per window.
-    """
-    windows = pack_bounds([window for _predicate, window in constraints])
-    xmin, ymin, xmax, ymax = (np.asarray(c).reshape(-1, 1) for c in rows)
-    mask = (
-        (xmin <= windows[:, 2])
-        & (windows[:, 0] <= xmax)
-        & (ymin <= windows[:, 3])
-        & (windows[:, 1] <= ymax)
-    )
-    return mask.sum(axis=1, dtype=np.intp)
-
-
 def _count(
     rows: RectColumns | Columns | np.ndarray,
     constraints: Sequence[tuple[SpatialPredicate, Rect]],
     method: str,
 ) -> np.ndarray:
-    if isinstance(rows, np.ndarray):
-        rows = split_columns(rows)
-    elif isinstance(rows, RectColumns):
-        rows = rows.as_tuple()
     if constraints and all(
         type(predicate) is Intersects for predicate, _window in constraints
     ):
         # test and node_may_satisfy coincide for intersects
-        return _intersects_counts(rows, constraints)
+        return make_count_scorer(constraints)(rows)
+    if isinstance(rows, np.ndarray):
+        rows = split_columns(rows)
+    elif isinstance(rows, RectColumns):
+        rows = rows.as_tuple()
     counts = np.zeros(len(rows[0]), dtype=np.intp)
     kernel = test_pairs if method == "test" else filter_pairs
     slow: list[tuple[SpatialPredicate, Rect]] = []
@@ -355,8 +334,11 @@ def make_count_scorer(
     negligible for one-shot scans, but measurable when the same constraints
     score thousands of tree nodes (``find_best_value``).  This returns a
     ``scorer(rows) -> counts`` closure with the windows packed once.  For
-    the all-``intersects`` case (the paper's default) the scorer is a
-    single broadcast; other predicate mixes defer to the generic kernels.
+    the all-``intersects`` case (the paper's default: every experiment uses
+    ``overlap`` queries) the scorer is a single ``(n, m)`` broadcast, which
+    beats ``m`` per-constraint kernel calls because the NumPy dispatch
+    overhead is paid once instead of per window; other predicate mixes
+    defer to the generic kernels.
     ``method`` selects ``"test"`` (leaf semantics) or ``"filter"``
     (intermediate-node admissible semantics).
     """

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator
 
 from ..geometry import Rect, union_all
+from .buffer import BufferPool
 from .node import Node
 from .stats import TreeStats
 
@@ -66,7 +67,7 @@ class RStarTree:
         self.root = Node(level=0)
         self.stats = TreeStats()
         #: optional BufferPool; when set, read traversals report page accesses
-        self.pager = None
+        self.pager: BufferPool | None = None
         self._size = 0
         # levels that already received forced reinsertion in the current
         # top-level insert (the "first overflow per level" rule of [BKSS90])

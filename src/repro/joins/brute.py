@@ -5,14 +5,12 @@ instances; every other join algorithm in the library is validated against
 it.  Also provides the exhaustive *best-approximate* search used as the
 oracle for IBB.
 
-The default execution plan is a *broadcast join* over the columnar kernels:
-each query edge is materialised once as a boolean predicate matrix
-(:func:`repro.geometry.kernels.pair_matrix`), prefixes over the first
-``n − 1`` variables are enumerated in lexicographic order with O(1) matrix
-lookups, and the last variable is resolved for a whole prefix in one
-vectorized conjunction.  ``use_kernels=False`` reinstates the original
-object-at-a-time product scan; both paths enumerate identical tuples in
-identical order.
+The execution plan is a *broadcast join* over the columnar kernels: each
+query edge is materialised once as a boolean predicate matrix
+(:func:`repro.geometry.kernels.pair_matrix`, itself parity-tested against
+``predicate.test``), prefixes over the first ``n − 1`` variables are
+enumerated in lexicographic order with O(1) matrix lookups, and the last
+variable is resolved for a whole prefix in one vectorized conjunction.
 """
 
 from __future__ import annotations
@@ -55,22 +53,11 @@ def _edge_matrices(instance: ProblemInstance) -> dict[tuple[int, int], np.ndarra
 def brute_force_join(
     instance: ProblemInstance,
     evaluator: QueryEvaluator | None = None,
-    use_kernels: bool = True,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every exact solution of the join, in lexicographic order."""
     _check_size(instance)
-    evaluator = evaluator or QueryEvaluator(instance)
-    if not use_kernels:
-        edges = list(instance.query.edges())
-        rects = evaluator.rects
-        domains = [range(len(dataset)) for dataset in instance.datasets]
-        for values in itertools.product(*domains):
-            if all(
-                predicate.test(rects[i][values[i]], rects[j][values[j]])
-                for i, j, predicate in edges
-            ):
-                yield values
-        return
+    if evaluator is None:
+        QueryEvaluator(instance)  # rejects disconnected query graphs
     matrices = _edge_matrices(instance)
     last = instance.num_variables - 1
     prefix_edges = [pair for pair in matrices if pair[1] < last]
@@ -93,16 +80,14 @@ def brute_force_join(
 def count_exact_solutions(
     instance: ProblemInstance,
     evaluator: QueryEvaluator | None = None,
-    use_kernels: bool = True,
 ) -> int:
     """Number of exact solutions (used to verify hard-region generation)."""
-    return sum(1 for _ in brute_force_join(instance, evaluator, use_kernels))
+    return sum(1 for _ in brute_force_join(instance, evaluator))
 
 
 def brute_force_best(
     instance: ProblemInstance,
     evaluator: QueryEvaluator | None = None,
-    use_kernels: bool = True,
 ) -> tuple[tuple[int, ...], int]:
     """The (lexicographically first) solution with minimum violations.
 
@@ -111,25 +96,12 @@ def brute_force_best(
     """
     _check_size(instance)
     evaluator = evaluator or QueryEvaluator(instance)
-    if not use_kernels:
-        domains = [range(len(dataset)) for dataset in instance.datasets]
-        best_values: tuple[int, ...] | None = None
-        best_violations = evaluator.num_constraints + 1
-        for values in itertools.product(*domains):
-            violations = evaluator.count_violations(values)
-            if violations < best_violations:
-                best_violations = violations
-                best_values = values
-                if violations == 0:
-                    break
-        assert best_values is not None
-        return best_values, best_violations
     matrices = _edge_matrices(instance)
     last = instance.num_variables - 1
     prefix_edges = [pair for pair in matrices if pair[1] < last]
     last_edges = [(i, matrices[(i, j)]) for (i, j) in matrices if j == last]
     prefix_domains = [range(len(dataset)) for dataset in instance.datasets[:-1]]
-    best_values = None
+    best_values: tuple[int, ...] | None = None
     best_violations = evaluator.num_constraints + 1
     for prefix in itertools.product(*prefix_domains):
         prefix_violations = sum(

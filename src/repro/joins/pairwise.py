@@ -14,8 +14,7 @@ until levels align.
 
 Node-level filters (which entries can intersect the partner node's MBR or
 the common clipping region) are evaluated with one vectorized kernel call
-over the node's packed bounds array; pass ``use_kernels=False`` to
-:func:`rtree_join` for the scalar reference behaviour.
+over the node's packed bounds array.
 """
 
 from __future__ import annotations
@@ -33,35 +32,27 @@ from ..index.node import Node
 __all__ = ["rtree_join"]
 
 
-def rtree_join(
-    tree_a: RStarTree, tree_b: RStarTree, use_kernels: bool = True
-) -> Iterator[tuple[Any, Any]]:
+def rtree_join(tree_a: RStarTree, tree_b: RStarTree) -> Iterator[tuple[Any, Any]]:
     """Yield every ``(item_a, item_b)`` whose rectangles intersect."""
     root_a, root_b = tree_a.root, tree_b.root
     if root_a.mbr is None or root_b.mbr is None:
         return
     if not root_a.mbr.intersects(root_b.mbr):
         return
-    yield from _join_nodes(root_a, root_b, tree_a, tree_b, use_kernels)
+    yield from _join_nodes(root_a, root_b, tree_a, tree_b)
 
 
-def _entries_intersecting(
-    node: Node, window: Rect, use_kernels: bool
-) -> list[tuple[Rect, Any]]:
+def _entries_intersecting(node: Node, window: Rect) -> list[tuple[Rect, Any]]:
     """The node's entries whose bounds intersect ``window``."""
-    if use_kernels:
-        mask = test_pairs(
-            INTERSECTS, split_columns(node.bounds_array()), window_columns(window)
-        )
-        bounds, children = node.bounds, node.children
-        return [
-            (bounds[position], children[position]) for position in np.flatnonzero(mask)
-        ]
-    return [(rect, child) for rect, child in node.entries() if rect.intersects(window)]
+    mask = test_pairs(
+        INTERSECTS, split_columns(node.bounds_array()), window_columns(window)
+    )
+    bounds, children = node.bounds, node.children
+    return [(bounds[position], children[position]) for position in np.flatnonzero(mask)]
 
 
 def _join_nodes(
-    node_a: Node, node_b: Node, tree_a: RStarTree, tree_b: RStarTree, use_kernels: bool
+    node_a: Node, node_b: Node, tree_a: RStarTree, tree_b: RStarTree
 ) -> Iterator[tuple[Any, Any]]:
     tree_a.stats.node_reads += 1
     tree_b.stats.node_reads += 1
@@ -77,25 +68,25 @@ def _join_nodes(
     if node_a.is_leaf or (not node_b.is_leaf and node_b.level > node_a.level):
         # descend only the deeper side until levels align
         assert node_a.mbr is not None
-        for _rect_b, child_b in _entries_intersecting(node_b, node_a.mbr, use_kernels):
-            yield from _join_nodes(node_a, child_b, tree_a, tree_b, use_kernels)
+        for _rect_b, child_b in _entries_intersecting(node_b, node_a.mbr):
+            yield from _join_nodes(node_a, child_b, tree_a, tree_b)
         return
     if node_b.is_leaf or node_a.level > node_b.level:
         assert node_b.mbr is not None
-        for _rect_a, child_a in _entries_intersecting(node_a, node_b.mbr, use_kernels):
-            yield from _join_nodes(child_a, node_b, tree_a, tree_b, use_kernels)
+        for _rect_a, child_a in _entries_intersecting(node_a, node_b.mbr):
+            yield from _join_nodes(child_a, node_b, tree_a, tree_b)
         return
     # same internal level: match children inside the nodes' common region
     assert node_a.mbr is not None and node_b.mbr is not None
     common = node_a.mbr.intersection(node_b.mbr)
     if common is None:
         return
-    entries_a = _entries_intersecting(node_a, common, use_kernels)
-    entries_b = _entries_intersecting(node_b, common, use_kernels)
+    entries_a = _entries_intersecting(node_a, common)
+    entries_b = _entries_intersecting(node_b, common)
     entries_a.sort(key=lambda entry: entry[0].xmin)
     entries_b.sort(key=lambda entry: entry[0].xmin)
     for _rect_a, child_a, _rect_b, child_b in _sweep(entries_a, entries_b):
-        yield from _join_nodes(child_a, child_b, tree_a, tree_b, use_kernels)
+        yield from _join_nodes(child_a, child_b, tree_a, tree_b)
 
 
 def _sweep_pairs(leaf_a: Node, leaf_b: Node) -> Iterator[tuple[Any, Any]]:

@@ -84,8 +84,6 @@ METRIC_NAMES = frozenset(
         # evaluator / kernel branches
         "eval.violation_checks",
         "eval.batch_rows",
-        "best_value.kernel_searches",
-        "best_value.scalar_searches",
         "kernels.scalar_fallback_rows",
         "kernels.scalar_pair_matrices",
         # cross-process aggregation

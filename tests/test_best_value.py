@@ -2,7 +2,10 @@
 
 The branch-and-bound must return exactly the same *score* as a linear scan
 of the whole domain, for any window set, floor and penalty function — on
-both the intersects hot path and the generic predicate path.
+both the intersects hot path and the generic predicate path, and for every
+way a tree reaches the search (bulk-loaded, insert-built, unpacked from the
+warm plane's flat arrays).  The oracle scores through ``predicate.test``
+only, so it shares no code with the kernels the search runs on.
 """
 
 import random
@@ -11,17 +14,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Rect, bulk_load
+from repro import Rect, RStarTree, bulk_load
 from repro.core.best_value import brute_force_best_value, find_best_value
 from repro.geometry import CONTAINS, INSIDE, INTERSECTS, NORTHEAST, WithinDistance
+from repro.index.bulk import pack_tree, tree_from_packed
 
 from conftest import rect_lists, rects
 
 
-def make_tree(rect_list, max_entries=4):
-    return bulk_load(
-        list(zip(rect_list, range(len(rect_list)))), max_entries=max_entries
-    )
+def _inserted(entries, max_entries):
+    tree = RStarTree(max_entries=max_entries)
+    for rect, item in entries:
+        tree.insert(rect, item)
+    return tree
+
+
+def _unpacked(entries, max_entries):
+    # node bounds arrays become slices of one shared buffer
+    return tree_from_packed(**pack_tree(bulk_load(entries, max_entries=max_entries)))
+
+
+# module scope: the builders are stateless, and hypothesis rejects
+# function-scoped fixtures under @given
+@pytest.fixture(
+    scope="module",
+    params=[bulk_load, _inserted, _unpacked],
+    ids=["bulk_load", "inserted", "unpacked"],
+)
+def make_tree(request):
+    def make(rect_list, max_entries=4):
+        return request.param(list(zip(rect_list, range(len(rect_list)))), max_entries)
+
+    return make
 
 
 def assert_same_outcome(found, expected):
@@ -40,14 +64,14 @@ class TestAgainstOracleIntersects:
         st.lists(rects(), min_size=1, max_size=5),
         st.integers(min_value=-1, max_value=4),
     )
-    def test_matches_brute_force(self, rect_list, windows, floor):
+    def test_matches_brute_force(self, make_tree, rect_list, windows, floor):
         constraints = [(INTERSECTS, w) for w in windows]
         tree = make_tree(rect_list)
         found = find_best_value(tree, constraints, float(floor))
         expected = brute_force_best_value(rect_list, constraints, float(floor))
         assert_same_outcome(found, expected)
 
-    def test_empty_constraints_returns_none(self):
+    def test_empty_constraints_returns_none(self, make_tree):
         tree = make_tree([Rect(0, 0, 1, 1)])
         assert find_best_value(tree, [], -1.0) is None
 
@@ -55,7 +79,7 @@ class TestAgainstOracleIntersects:
         tree = bulk_load([])
         assert find_best_value(tree, [(INTERSECTS, Rect(0, 0, 1, 1))], -1.0) is None
 
-    def test_floor_excludes_equal_scores(self):
+    def test_floor_excludes_equal_scores(self, make_tree):
         # one object satisfying exactly 1 window; floor 1 must return None
         tree = make_tree([Rect(0, 0, 1, 1)])
         constraints = [(INTERSECTS, Rect(0.5, 0.5, 2, 2))]
@@ -63,7 +87,7 @@ class TestAgainstOracleIntersects:
         found = find_best_value(tree, constraints, 0.0)
         assert found is not None and found.satisfied == 1
 
-    def test_result_fields(self):
+    def test_result_fields(self, make_tree):
         rect_list = [Rect(0, 0, 1, 1), Rect(5, 5, 6, 6), Rect(0.4, 0.4, 0.6, 0.6)]
         tree = make_tree(rect_list)
         constraints = [
@@ -84,7 +108,7 @@ class TestAgainstOracleGenericPredicates:
         rects(),
         st.integers(min_value=-1, max_value=2),
     )
-    def test_mixed_predicates_match_brute_force(self, rect_list, w1, w2, floor):
+    def test_mixed_predicates_match_brute_force(self, make_tree, rect_list, w1, w2, floor):
         constraints = [(INSIDE, w1), (NORTHEAST, w2)]
         tree = make_tree(rect_list)
         found = find_best_value(tree, constraints, float(floor))
@@ -97,7 +121,7 @@ class TestAgainstOracleGenericPredicates:
         rects(),
         st.floats(min_value=0.0, max_value=10.0),
     )
-    def test_within_distance_matches_brute_force(self, rect_list, window, distance):
+    def test_within_distance_matches_brute_force(self, make_tree, rect_list, window, distance):
         constraints = [(WithinDistance(distance), window), (CONTAINS, window)]
         tree = make_tree(rect_list)
         found = find_best_value(tree, constraints, -1.0)
@@ -112,7 +136,7 @@ class TestPenalties:
         st.lists(rects(), min_size=1, max_size=3),
         st.dictionaries(st.integers(0, 49), st.floats(0.0, 2.0), max_size=10),
     )
-    def test_penalised_search_matches_brute_force(self, rect_list, windows, raw):
+    def test_penalised_search_matches_brute_force(self, make_tree, rect_list, windows, raw):
         constraints = [(INTERSECTS, w) for w in windows]
         penalty = lambda item: raw.get(item, 0.0)
         tree = make_tree(rect_list)
@@ -120,7 +144,7 @@ class TestPenalties:
         expected = brute_force_best_value(rect_list, constraints, -1.0, penalty=penalty)
         assert_same_outcome(found, expected)
 
-    def test_penalty_breaks_tie_toward_unpunished(self):
+    def test_penalty_breaks_tie_toward_unpunished(self, make_tree):
         # two identical rects both satisfying the window; penalise item 0
         rect_list = [Rect(0, 0, 1, 1), Rect(0, 0, 1, 1)]
         tree = make_tree(rect_list)
@@ -133,7 +157,7 @@ class TestPenalties:
 
 
 class TestPruningEfficiency:
-    def test_branch_and_bound_reads_fewer_nodes_than_full_scan(self):
+    def test_branch_and_bound_reads_fewer_nodes_than_full_scan(self, make_tree):
         rng = random.Random(0)
         rect_list = [
             Rect.from_center(rng.random(), rng.random(), 0.01, 0.01)

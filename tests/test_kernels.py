@@ -1,12 +1,17 @@
-"""Property suite: the columnar kernels agree *exactly* with the scalar paths.
+"""Property suite: the columnar kernels agree *exactly* with the scalar semantics.
 
 Every kernel in :mod:`repro.geometry.kernels` replaces a scalar hot loop; the
-contract is bit-for-bit agreement, including touching-edge and degenerate
-(zero-area) rectangles, so `use_kernels` can never change a search outcome.
+contract is bit-for-bit agreement with ``predicate.test`` /
+``node_may_satisfy`` / ``Rect.intersects``, including touching-edge and
+degenerate (zero-area) rectangles.  The batched evaluator and the broadcast
+join oracles built on the kernels are checked against loops over the scalar
+API; ``find_best_value`` is checked against its scalar oracle in
+``tests/test_best_value.py``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -25,7 +30,6 @@ from repro import (
     WithinDistance,
     bulk_load,
 )
-from repro.core.best_value import brute_force_best_value, find_best_value
 from repro.core.evaluator import QueryEvaluator
 from repro.geometry import SpatialPredicate
 from repro.geometry.kernels import (
@@ -40,14 +44,6 @@ from repro.geometry.kernels import (
     window_columns,
 )
 from repro.geometry.kernels import test_pairs as kernel_test_pairs
-from repro.core.budget import Budget
-from repro.core.parallel import (
-    RunSpec,
-    derive_seed,
-    parallel_restarts,
-    run_specs,
-    run_specs_supervised,
-)
 from repro.index import RStarTree
 from repro.joins.brute import brute_force_best, brute_force_join, count_exact_solutions
 from repro.joins.pairwise import rtree_join
@@ -223,12 +219,10 @@ def test_unknown_predicate_falls_back_to_scalar():
 # ----------------------------------------------------------------------
 def test_count_violations_batch_matches_loop(tiny_clique_instance):
     evaluator = QueryEvaluator(tiny_clique_instance)
-    scalar = QueryEvaluator(tiny_clique_instance, use_kernels=False)
     rng = np.random.default_rng(3)
     batch = rng.integers(0, 60, size=(37, tiny_clique_instance.num_variables))
     expected = [evaluator.count_violations(tuple(row)) for row in batch.tolist()]
     assert evaluator.count_violations_batch(batch).tolist() == expected
-    assert scalar.count_violations_batch(batch).tolist() == expected
 
 
 def test_satisfied_counts_batch_matches_loop(tiny_chain_instance):
@@ -260,8 +254,34 @@ def test_make_states_matches_scalar_states(tiny_clique_instance):
 
 
 # ----------------------------------------------------------------------
-# find_best_value / brute oracles: kernels vs scalar
+# broadcast join oracles and the R-tree join filter vs scalar scans
 # ----------------------------------------------------------------------
+def _scalar_scan(instance):
+    """The Cartesian product and the scalar violation counter to scan it with."""
+    domains = [range(len(dataset)) for dataset in instance.datasets]
+    return itertools.product(*domains), QueryEvaluator(instance).count_violations
+
+
+def test_brute_force_join_matches_product_scan(tiny_chain_instance):
+    product, count_violations = _scalar_scan(tiny_chain_instance)
+    expected = [values for values in product if count_violations(values) == 0]
+    # same tuples, same lexicographic order
+    assert list(brute_force_join(tiny_chain_instance)) == expected
+    assert count_exact_solutions(tiny_chain_instance) == len(expected)
+
+
+def test_brute_force_best_matches_product_scan(tiny_clique_instance):
+    product, count_violations = _scalar_scan(tiny_clique_instance)
+    expected = (None, tiny_clique_instance.query.num_edges + 1)
+    for values in product:
+        violations = count_violations(values)
+        if violations < expected[1]:  # strict: keeps the lexicographically first
+            expected = (values, violations)
+            if violations == 0:
+                break
+    assert brute_force_best(tiny_clique_instance) == expected
+
+
 def _random_tree(rng, size, max_entries=8):
     entries = [
         (Rect.from_center(rng.random(), rng.random(), rng.random() * 0.2, rng.random() * 0.2), index)
@@ -270,164 +290,17 @@ def _random_tree(rng, size, max_entries=8):
     return bulk_load(entries, max_entries=max_entries), [r for r, _ in entries]
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_find_best_value_kernels_match_scalar(seed):
-    rng = random.Random(seed)
-    tree, rects_list = _random_tree(rng, 150)
-    constraints = [
-        (INTERSECTS, Rect.from_center(rng.random(), rng.random(), 0.3, 0.3))
-        for _ in range(rng.randint(1, 5))
-    ]
-    for floor in (0.0, 1.0, 2.0):
-        vector = find_best_value(tree, constraints, floor)
-        scalar = find_best_value(tree, constraints, floor, use_kernels=False)
-        if scalar is None:
-            assert vector is None
-        else:
-            assert vector is not None
-            assert vector.item == scalar.item
-            assert vector.satisfied == scalar.satisfied
-            assert vector.score == scalar.score
-    oracle = brute_force_best_value(rects_list, constraints, 0.0)
-    oracle_scalar = brute_force_best_value(rects_list, constraints, 0.0, use_kernels=False)
-    best = find_best_value(tree, constraints, 0.0)
-    if oracle is None:
-        assert best is None and oracle_scalar is None
-    else:
-        assert oracle_scalar is not None and best is not None
-        assert oracle.satisfied == oracle_scalar.satisfied == best.satisfied
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_find_best_value_mixed_predicates(seed):
-    rng = random.Random(100 + seed)
-    tree, rects_list = _random_tree(rng, 120)
-    constraints = [
-        (INTERSECTS, Rect.from_center(0.4, 0.4, 0.4, 0.4)),
-        (WithinDistance(0.25), Rect.from_center(0.6, 0.6, 0.1, 0.1)),
-        (NORTHEAST, Rect(0.0, 0.0, 0.1, 0.1)),
-    ]
-    vector = find_best_value(tree, constraints, 0.0)
-    scalar = find_best_value(tree, constraints, 0.0, use_kernels=False)
-    if scalar is None:
-        assert vector is None
-    else:
-        assert vector is not None
-        assert (vector.item, vector.satisfied, vector.score) == (
-            scalar.item, scalar.satisfied, scalar.score,
-        )
-
-
-def test_find_best_value_with_penalty_matches_scalar():
-    rng = random.Random(77)
-    tree, rects_list = _random_tree(rng, 100)
-    constraints = [
-        (INTERSECTS, Rect.from_center(0.5, 0.5, 0.5, 0.5)),
-        (INTERSECTS, Rect.from_center(0.45, 0.55, 0.4, 0.4)),
-    ]
-    penalties = {index: (index % 3) * 0.5 for index in range(100)}
-    penalty = penalties.__getitem__
-    vector = find_best_value(tree, constraints, 0.0, penalty=penalty)
-    scalar = find_best_value(tree, constraints, 0.0, penalty=penalty, use_kernels=False)
-    brute_v = brute_force_best_value(rects_list, constraints, 0.0, penalty=penalty)
-    brute_s = brute_force_best_value(
-        rects_list, constraints, 0.0, penalty=penalty, use_kernels=False
-    )
-    assert (vector is None) == (scalar is None)
-    if scalar is not None:
-        assert vector.score == scalar.score
-        assert brute_v is not None and brute_s is not None
-        assert brute_v.item == brute_s.item
-        assert brute_v.score == brute_s.score == scalar.score
-
-
-def test_brute_force_join_kernels_match_scalar(tiny_chain_instance):
-    vector = list(brute_force_join(tiny_chain_instance))
-    scalar = list(brute_force_join(tiny_chain_instance, use_kernels=False))
-    assert vector == scalar  # same tuples, same lexicographic order
-
-
-def test_brute_force_best_kernels_match_scalar(tiny_clique_instance):
-    assert brute_force_best(tiny_clique_instance) == brute_force_best(
-        tiny_clique_instance, use_kernels=False
-    )
-
-
-def test_count_exact_solutions_kernels_match_scalar(tiny_chain_instance):
-    vector = count_exact_solutions(tiny_chain_instance)
-    scalar = count_exact_solutions(tiny_chain_instance, use_kernels=False)
-    assert vector == scalar
-
-
-def test_rtree_join_kernels_match_scalar():
+def test_rtree_join_matches_nested_loop():
     rng = random.Random(21)
     tree_a, rects_a = _random_tree(rng, 90)
     tree_b, rects_b = _random_tree(rng, 70)
-    vector = sorted(rtree_join(tree_a, tree_b))
-    scalar = sorted(rtree_join(tree_a, tree_b, use_kernels=False))
-    assert vector == scalar
     oracle = sorted(
         (i, j)
         for i, ra in enumerate(rects_a)
         for j, rb in enumerate(rects_b)
         if ra.intersects(rb)
     )
-    assert vector == oracle
-
-
-def test_run_specs_kernel_parity(tiny_chain_instance):
-    specs = [
-        RunSpec(
-            heuristic="ils",
-            seed=derive_seed(7, index),
-            time_limit=None,
-            max_iterations=40,
-            index=index,
-        )
-        for index in range(2)
-    ]
-    vector = run_specs(tiny_chain_instance, specs, workers=1)
-    scalar = run_specs(tiny_chain_instance, specs, workers=1, use_kernels=False)
-    for a, b in zip(vector, scalar):
-        assert a.best_assignment == b.best_assignment
-        assert a.best_violations == b.best_violations
-
-
-def test_run_specs_supervised_kernel_parity(tiny_chain_instance):
-    specs = [
-        RunSpec(
-            heuristic="ils",
-            seed=derive_seed(7, index),
-            time_limit=None,
-            max_iterations=40,
-            index=index,
-        )
-        for index in range(2)
-    ]
-    vector, vector_faults = run_specs_supervised(
-        tiny_chain_instance, specs, workers=1
-    )
-    scalar, scalar_faults = run_specs_supervised(
-        tiny_chain_instance, specs, workers=1, use_kernels=False
-    )
-    assert vector_faults is None and scalar_faults is None
-    for a, b in zip(vector, scalar):
-        assert a.best_assignment == b.best_assignment
-        assert a.best_violations == b.best_violations
-
-
-def test_parallel_restarts_kernel_parity(tiny_chain_instance):
-    budget = Budget.iterations(40)
-    vector = parallel_restarts(
-        tiny_chain_instance, budget.spawn(), seed=3, heuristic="ils",
-        restarts=2, workers=1,
-    )
-    scalar = parallel_restarts(
-        tiny_chain_instance, budget.spawn(), seed=3, heuristic="ils",
-        restarts=2, workers=1, use_kernels=False,
-    )
-    assert vector.best_assignment == scalar.best_assignment
-    assert vector.best_violations == scalar.best_violations
+    assert sorted(rtree_join(tree_a, tree_b)) == oracle
 
 
 # ----------------------------------------------------------------------

@@ -92,12 +92,12 @@ def test_gils_counters_match_stats(instance):
     assert counters.get("gils.local_maxima", 0) == result.stats["local_maxima"]
     assert counters["index.node_reads"] == result.stats["index"]["node_reads"]
     assert counters["gils.penalties_issued"] == result.stats["penalties_issued"]
-    # GILS moves through best-value searches; kernel/scalar split recorded
-    best_value_total = counters.get("best_value.kernel_searches", 0) + (
-        counters.get("best_value.scalar_searches", 0)
+    # GILS moves through best-value searches
+    assert (
+        counters["index.best_value_searches"]
+        == result.stats["index"]["best_value_searches"]
+        > 0
     )
-    assert best_value_total == counters["index.best_value_searches"]
-    assert best_value_total > 0
 
 
 def test_ils_emits_restart_events(instance):
