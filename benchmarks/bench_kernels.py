@@ -2,39 +2,35 @@
 
 Measures the speedup of the vectorized execution engine
 (:mod:`repro.geometry.kernels`) over the object-at-a-time scalar API
-(``count_violations``, ``predicate.test``), on the two hot spots the engine
-targets:
-
-* batched ``count_violations`` over a population of assignments,
-* ``find_best_value`` node scoring inside the R*-tree branch-and-bound.
+(``count_violations``, ``predicate.test``), on the hot spot the engine
+targets: batched ``count_violations`` over a population of assignments.
+(``find_best_value`` descends packed arrays and is timed end to end by
+``core.find_best_value_us`` of ``perf/``; the per-``Node`` scoring loop this
+bench used to time is a path the search no longer runs.)
 
 Besides the pytest output, the measured timings land in the perf ledger
 (one validated JSONL row per section via
 :func:`repro.bench.ledger.emit_sections`, plus the legacy
 ``BENCH_kernels.json`` payload) so ``repro bench compare`` can gate the
 speedups over time.  ``REPRO_BENCH_SCALE`` scales dataset
-sizes as usual; at scale 1.0 the largest ``count_violations`` /
-node-scoring size is 50 000 objects, the acceptance point for the ≥3×
-speedup target.
+sizes as usual; at scale 1.0 the largest ``count_violations`` size is
+50 000 objects, the acceptance point for the ≥3× speedup target.
 """
 
 from __future__ import annotations
 
 import os
 import platform
-import random
 import time
 
 import numpy as np
 import pytest
 from conftest import record_table, scaled_int
 
-from repro import QueryGraph, Rect, bulk_load, hard_instance
+from repro import QueryGraph, hard_instance
 from repro.bench import format_table
 from repro.bench.ledger import emit_sections, timer_stats
 from repro.core.evaluator import QueryEvaluator
-from repro.geometry import INTERSECTS
-from repro.geometry.kernels import make_count_scorer
 
 #: collected {section: [row dict, ...]}; flushed to JSON at session end
 _RESULTS: dict[str, list[dict]] = {}
@@ -147,58 +143,3 @@ def test_count_violations_batch(size):
     )
     assert np.array_equal(np.asarray(scalar_counts), np.asarray(vector_counts))
     _record("count_violations_batch", size, scalar_samples, vector_samples)
-
-
-@pytest.mark.parametrize("size", _violation_sizes())
-def test_find_best_value_node_scoring(size):
-    """The Figure 5 per-node scoring loop, over every node of the tree.
-
-    The branch-and-bound itself prunes so aggressively on hard instances
-    that a full search touches only dozens of nodes; to measure scoring
-    *throughput* (the quantity the kernels accelerate) every node of the
-    tree is scored once through both paths, exactly as the search scores
-    the nodes it does visit.
-    """
-    rng = random.Random(7)
-    entries = [
-        (Rect.from_center(rng.random(), rng.random(), 0.01, 0.01), index)
-        for index in range(size)
-    ]
-    # 128 entries/node ≈ a 4 KB page, the standard spatial-database setting
-    tree = bulk_load(entries, max_entries=128)
-    constraints = [
-        (INTERSECTS, Rect.from_center(0.3 + 0.1 * k, 0.3 + 0.1 * k, 0.3, 0.3))
-        for k in range(5)
-    ]
-
-    nodes = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if not node.is_leaf:
-            stack.extend(node.children)
-    for node in nodes:  # warm the packed-bounds caches outside the timing
-        node.bounds_array()
-
-    def scalar_scoring():
-        total = 0
-        for node in nodes:
-            for rect in node.bounds:
-                for predicate, window in constraints:
-                    if predicate.test(rect, window):
-                        total += 1
-        return total
-
-    scorer = make_count_scorer(constraints)  # packed once, as in the search
-
-    def vector_scoring():
-        total = 0
-        for node in nodes:
-            total += int(scorer(node.bounds_array()).sum())
-        return total
-
-    scalar_samples, scalar_total = _time(scalar_scoring)
-    vector_samples, vector_total = _time(vector_scoring)
-    assert scalar_total == vector_total
-    _record("find_best_value_node_scoring", size, scalar_samples, vector_samples)

@@ -18,24 +18,21 @@ This single routine powers all three heuristics:
   because penalties are non-negative),
 * **SEA** uses it as its mutation operator.
 
-Since it is *the* hot loop of the whole library, node entries are scored
-with the columnar NumPy kernels of :mod:`repro.geometry.kernels`: each node
-caches a packed ``(len, 4)`` bounds array and all of its entries are scored
-in one vectorized call.  :func:`brute_force_best_value` — a scalar scan
-through ``predicate.test`` that shares no code with the search — is the
-oracle the property suite checks it against.
+Since it is *the* hot loop of the whole library, it never touches a node
+object: it descends the tree's packed read-side arrays
+(:class:`~repro.index.packed.PackedTree`), scoring a node's entries — a
+slice of one flat array — in one vectorized call, and the small upper levels
+all at once.  :func:`brute_force_best_value` — a scalar scan through
+``predicate.test`` that shares no code with the search — is the oracle the
+property suite checks it against.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from ..geometry import Intersects, Rect, SpatialPredicate
-from ..geometry.kernels import make_count_scorer
+from ..geometry import Rect, SpatialPredicate
 from ..index import RStarTree
-from ..index.node import Node
 from ..obs import current
 
 __all__ = ["BestValue", "find_best_value", "brute_force_best_value"]
@@ -69,11 +66,15 @@ def find_best_value(
 ) -> BestValue | None:
     """Best object of ``tree`` under the multi-window criterion.
 
-    Vectorized branch-and-bound: one kernel call scores a whole node.  For
-    the default all-``intersects`` case the leaf test and the
-    intermediate-node admissible filter coincide, so a single broadcast
-    against the packed window array serves both roles; other predicate mixes
-    go through the generic per-constraint kernels.
+    Branch-and-bound over the packed arrays: one kernel call scores a whole
+    node (an entry range).  Entries are visited in decreasing count order,
+    ties in entry order, and a subtree is entered only while its count
+    strictly beats the best leaf score so far — re-checked when its turn
+    comes, because a sibling may have raised the bound meanwhile.  Scoring
+    does not depend on the bound, so the BFS prefix of small upper levels is
+    scored in a single call up front and the descent replays from those
+    counts; ``node_reads`` / ``leaf_reads`` and buffer-pool accesses are
+    charged per node *visited*, exactly as a node-at-a-time walk would.
 
     Parameters
     ----------
@@ -95,74 +96,89 @@ def find_best_value(
     """
     if not constraints:
         return None
-    tree.stats.best_value_searches += 1
-    if tree.root.mbr is None:
-        return None
-    all_intersects = all(type(predicate) is Intersects for predicate, _w in constraints)
-    if all_intersects:
-        # leaf test and admissible filter coincide: one pre-packed broadcast
-        scorer = make_count_scorer(constraints)
-
-        def score_node(node: Node, is_leaf: bool) -> np.ndarray:
-            return scorer(node.bounds_array())
-
-    else:
-        leaf_scorer = make_count_scorer(constraints, "test")
-        inner_scorer = make_count_scorer(constraints, "filter")
-
-        def score_node(node: Node, is_leaf: bool) -> np.ndarray:
-            array = node.bounds_array()
-            return leaf_scorer(array) if is_leaf else inner_scorer(array)
-
-    best: BestValue | None = None
-    best_score = floor_score
     stats = tree.stats
+    stats.best_value_searches += 1
+    packed = tree.packed()
+    offsets = packed.offsets
+    if not offsets[1]:
+        return None
+    leaf_score, inner_score = packed.scorers(constraints)
+    levels = packed.levels
+    first_child = packed.first_child
+    prefix_nodes = packed.prefix_nodes
+    prefix_counts: list[int] = []
+    if prefix_nodes:
+        prefix_counts = packed.prefix_counts(leaf_score, inner_score).tolist()
     pager = tree.pager
     if pager is not None:
         obs = current()
         buffer_hits = obs.counter("index.buffer.hit")
         buffer_misses = obs.counter("index.buffer.miss")
+        page_base = id(packed)
 
-    def descend(node: Node) -> None:
-        nonlocal best, best_score
-        stats.node_reads += 1
+    best_entry = -1
+    best_satisfied = 0
+    best_score = floor_score
+    node_reads = leaf_reads = 0
+    # depth-first with an explicit stack of (count, −node): a node's entries
+    # are pushed in increasing count order, equal counts last-entry-first, so
+    # they pop highest count first and equal counts in entry order — the
+    # first-found winner is deterministic
+    stack: list[tuple[float, int]] = [(float("inf"), 0)]
+    while stack:
+        bound, node = stack.pop()
+        if bound <= best_score:
+            continue  # a sibling raised the bound since this one was pushed
+        node = -node
+        node_reads += 1
         if pager is not None:
-            if pager.access(id(node)):
+            if pager.access((page_base, node)):
                 buffer_hits.inc()
             else:
                 buffer_misses.inc()
-        is_leaf = node.is_leaf
-        if is_leaf:
-            stats.leaf_reads += 1
-        counts = score_node(node, is_leaf)
-        candidates = np.flatnonzero(counts > best_score)
-        if candidates.size == 0:
-            return
-        # visit high-count entries first so the bound tightens early; the
-        # stable sort keeps entry order among ties, so the first-found
-        # winner is deterministic
-        order = candidates[np.argsort(-counts[candidates], kind="stable")]
-        children = node.children
-        if is_leaf:
-            for position in order:
-                satisfied = int(counts[position])
-                if satisfied <= best_score:
-                    break  # sorted: the rest are no better
-                item = children[position]
-                score = float(satisfied)
-                if penalty is not None:
-                    score -= penalty(item)
-                if score > best_score:
-                    best_score = score
-                    best = BestValue(item, node.bounds[position], satisfied, score)
+        start, stop = offsets[node], offsets[node + 1]
+        internal = levels[node] > 0
+        if node < prefix_nodes:
+            counts = prefix_counts[start:stop]
         else:
-            for position in order:
-                # re-check: descending a sibling may have raised the bound
-                if counts[position] > best_score:
-                    descend(children[position])
-
-    descend(tree.root)
-    return best
+            counts = (inner_score if internal else leaf_score)(start, stop).tolist()
+        if internal:
+            child = -first_child[node]
+            stack.extend(
+                sorted(
+                    [
+                        (count, child - position)
+                        for position, count in enumerate(counts)
+                        if count > best_score
+                    ]
+                )
+            )
+            continue
+        leaf_reads += 1
+        if penalty is None:
+            # the first entry with the highest count is the only possible winner
+            satisfied = max(counts)
+            if satisfied > best_score:
+                best_score = float(satisfied)
+                best_satisfied = satisfied
+                best_entry = start + counts.index(satisfied)
+            continue
+        for negated, position in sorted(
+            [(-count, position) for position, count in enumerate(counts) if count > best_score]
+        ):
+            if -negated <= best_score:
+                break  # sorted: the rest are no better
+            score = -negated - penalty(packed.entry_item(start + position))
+            if score > best_score:
+                best_score = score
+                best_satisfied = -negated
+                best_entry = start + position
+    stats.node_reads += node_reads
+    stats.leaf_reads += leaf_reads
+    if best_entry < 0:
+        return None
+    rect, item = packed.entry(best_entry)
+    return BestValue(item, rect, int(best_satisfied), best_score)
 
 
 def brute_force_best_value(

@@ -30,6 +30,7 @@ this, including touching-edge and degenerate (zero-area) rectangles.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -70,9 +71,10 @@ def pack_bounds(rects: Sequence[Rect | tuple]) -> np.ndarray:
 
     Row layout matches :class:`Rect`: ``xmin, ymin, xmax, ymax``.
     """
-    if len(rects) == 0:
-        return np.empty((0, 4), dtype=np.float64)
-    return np.asarray(rects, dtype=np.float64).reshape(len(rects), 4)
+    # one flat pass over the coordinates: several times faster than letting
+    # NumPy discover the shape of a list of tuples
+    flat = np.fromiter(chain.from_iterable(rects), np.float64, 4 * len(rects))
+    return flat.reshape(len(rects), 4)
 
 
 def split_columns(bounds: np.ndarray) -> Columns:

@@ -1,6 +1,7 @@
 """R*-tree index substrate: nodes, dynamic tree, bulk loading, queries."""
 
 from .node import Node
+from .packed import PackedTree
 from .rstar import DEFAULT_MAX_ENTRIES, RStarTree
 from .bulk import bulk_load, pack_nodes
 from .queries import (
@@ -20,6 +21,7 @@ __all__ = [
     "predicted_node_accesses",
     "tree_level_stats",
     "Node",
+    "PackedTree",
     "RStarTree",
     "DEFAULT_MAX_ENTRIES",
     "bulk_load",

@@ -16,7 +16,9 @@ Usage::
     print(pool.misses, pool.hit_ratio())
 
 A single pool may be shared by several trees (a common buffer, the usual
-DBMS setup) — page identity is per node object.
+DBMS setup): the packed-array traversals name a page ``(id(packed), node
+index)``, the node-walking ones ``id(node)``, so pages of distinct trees
+never alias.
 """
 
 from __future__ import annotations

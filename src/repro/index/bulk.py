@@ -6,8 +6,11 @@ with a large constant; STR packing [Leutenegger et al., ICDE 1997] builds a
 fully packed tree in two sorts and produces query performance comparable to a
 dynamically built R*-tree on uniform data — exactly the workload used here.
 
-The resulting tree is a regular :class:`~repro.index.rstar.RStarTree`: further
-inserts and deletes keep working on it.
+The sorts run on coordinate arrays and the result is written straight into
+the packed read-side form (:class:`~repro.index.packed.PackedTree`); no node
+object is built.  The resulting tree is a regular
+:class:`~repro.index.rstar.RStarTree`: further inserts and deletes keep
+working on it (they inflate the node graph first).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from ..geometry import Rect
 from ..geometry.kernels import pack_bounds
-from .node import Node
+from .packed import PackedTree, bounds_keys
 from .rstar import DEFAULT_MAX_ENTRIES, RStarTree
 
 __all__ = ["bulk_load", "pack_nodes", "pack_tree", "tree_from_packed"]
@@ -31,7 +34,7 @@ def bulk_load(
     fill: float = 0.9,
     min_fill: float = 0.4,
 ) -> RStarTree:
-    """Build a packed R*-tree from ``(rect, item)`` pairs.
+    """Build a packed R*-tree from ``(rect, item)`` pairs; items are integers.
 
     Parameters
     ----------
@@ -45,127 +48,114 @@ def bulk_load(
     tree = RStarTree(max_entries=max_entries, min_fill=min_fill)
     if not entries:
         return tree
+    items = np.asarray([item for _rect, item in entries])
+    if items.dtype.kind not in "iu":
+        raise TypeError(
+            f"cannot bulk-load {items.dtype} items: only integer object ids "
+            f"fit the packed arrays"
+        )
     capacity = max(tree.min_entries, min(max_entries, int(round(fill * max_entries))))
 
-    level = 0
-    nodes = pack_nodes(list(entries), capacity, level)
-    while len(nodes) > 1:
-        level += 1
-        parent_entries: list[tuple[Rect, Any]] = []
-        for node in nodes:
-            assert node.mbr is not None
-            parent_entries.append((node.mbr, node))
-        nodes = pack_nodes(parent_entries, capacity, level)
-    tree.root = nodes[0]
-    tree.root.parent = None
-    tree._size = len(entries)
-    return tree
+    # bottom-up: each level is (entry bounds, entry children, node offsets)
+    # in build order; a level's children index the build order of the level
+    # below (item ids at the leaves)
+    bounds = pack_bounds([rect for rect, _item in entries])
+    children = items.astype(np.int64)
+    built = []
+    while True:
+        order, offsets = pack_nodes(bounds, capacity)
+        bounds, children = bounds[order], children[order]
+        built.append((bounds, children, offsets))
+        if len(offsets) == 2:
+            break
+        starts = offsets[:-1]
+        bounds = np.concatenate(
+            [
+                np.minimum.reduceat(bounds[:, :2], starts),
+                np.maximum.reduceat(bounds[:, 2:], starts),
+            ],
+            axis=1,
+        )
+        children = np.arange(len(starts), dtype=np.int64)
+
+    # top-down: renumber breadth-first.  A level's nodes appear in the order
+    # the level above lists them, so in BFS order the e-th internal entry of
+    # the whole tree points at node e + 1.
+    level_bounds, level_children, sizes, levels = [], [], [], []
+    nodes = np.zeros(1, dtype=np.int64)  # build-order ids of this level, BFS order
+    for level in range(len(built) - 1, -1, -1):
+        bounds, children, offsets = built[level]
+        node_sizes = np.diff(offsets)[nodes]
+        first = np.cumsum(node_sizes) - node_sizes
+        take = np.repeat(offsets[:-1][nodes] - first, node_sizes) + np.arange(
+            node_sizes.sum()
+        )
+        level_bounds.append(bounds[take])
+        level_children.append(children[take])
+        sizes.append(node_sizes)
+        levels.append(np.full(len(nodes), level, dtype=np.int64))
+        nodes = level_children[-1]
+    internal = sum(len(part) for part in level_children[:-1])
+    level_children[:-1] = [np.arange(1, internal + 1, dtype=np.int64)]
+    packed = PackedTree(
+        None,  # derived from the keys if a caller ever asks for the rows
+        np.concatenate(level_children),
+        np.concatenate([[0], np.cumsum(np.concatenate(sizes))]).astype(np.int64),
+        np.concatenate(levels),
+        keys=bounds_keys(np.concatenate(level_bounds)),
+    )
+    meta = (max_entries, tree.min_entries, tree.reinsert_count, len(entries))
+    return RStarTree.from_packed(packed, meta)
 
 
-def pack_nodes(
-    entries: list[tuple[Rect, Any]], capacity: int, level: int
-) -> list[Node]:
-    """Tile ``entries`` into nodes of ``capacity`` using the STR sweep.
+def pack_nodes(bounds: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tile ``(n, 4)`` entry bounds into nodes of ``capacity`` by the STR sweep.
 
     Entries are sorted by x-center, cut into vertical slabs of
     ``ceil(sqrt(P))`` runs (``P`` = number of nodes needed), and each slab is
-    sorted by y-center before being chopped into nodes.
+    sorted by y-center before being chopped into nodes; both sorts are
+    stable.  Returns ``(order, offsets)``: node ``k`` holds the entries
+    ``order[offsets[k]:offsets[k + 1]]``.
+
+    STR can leave a last node with a single entry; its predecessor then
+    donates its trailing entries so both hold at least ``capacity // 2``
+    (when possible) — which only moves the last boundary.
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
-    node_count = math.ceil(len(entries) / capacity)
-    slab_count = math.ceil(math.sqrt(node_count))
-    per_slab = slab_count * capacity
+    count = len(bounds)
+    node_count = math.ceil(count / capacity)
+    per_slab = math.ceil(math.sqrt(node_count)) * capacity
 
-    by_x = sorted(entries, key=lambda entry: entry[0].center()[0])
-    nodes: list[Node] = []
-    for slab_start in range(0, len(by_x), per_slab):
-        slab = by_x[slab_start: slab_start + per_slab]
-        slab.sort(key=lambda entry: entry[0].center()[1])
-        for node_start in range(0, len(slab), capacity):
-            chunk = slab[node_start: node_start + capacity]
-            node = Node(level=level)
-            for rect, child in chunk:
-                node.add(rect, child)
-            nodes.append(node)
-    return _rebalance_tail(nodes, capacity)
-
-
-def _rebalance_tail(nodes: list[Node], capacity: int) -> list[Node]:
-    """Ensure the final node is not pathologically small.
-
-    STR can leave a last node with a single entry; donate entries from its
-    predecessor so both hold at least ``capacity // 2`` (when possible).
-    """
-    if len(nodes) < 2:
-        return nodes
-    tail = nodes[-1]
-    prev = nodes[-2]
+    by_x = np.argsort((bounds[:, 0] + bounds[:, 2]) / 2.0, kind="stable")
+    center_y = (bounds[by_x, 1] + bounds[by_x, 3]) / 2.0
+    order = by_x[np.lexsort((center_y, np.arange(count) // per_slab))]
+    offsets = np.minimum(np.arange(node_count + 1, dtype=np.int64) * capacity, count)
     minimum = max(1, capacity // 2)
-    if len(tail) >= minimum:
-        return nodes
-    needed = minimum - len(tail)
-    moved_bounds = prev.bounds[-needed:]
-    moved_children = prev.children[-needed:]
-    prev.replace_entries(prev.bounds[:-needed], prev.children[:-needed])
-    tail.replace_entries(moved_bounds + tail.bounds, moved_children + tail.children)
-    return nodes
+    if node_count >= 2 and offsets[-1] - offsets[-2] < minimum:
+        offsets[-2] = offsets[-1] - minimum
+    return order, offsets
 
 
 def pack_tree(tree: RStarTree) -> dict[str, Any]:
-    """Flatten a tree into four parallel arrays (plus scalar metadata).
+    """The tree's four packed arrays plus scalar metadata.
 
-    Nodes are numbered in BFS order (root = 0), children in entry order, so
-    packing and unpacking preserve traversal order exactly — a
-    reconstructed tree answers every query byte-identically.  Layout:
-
-    ``entry_bounds``
-        ``(m, 4)`` float64 — every entry MBR of every node, concatenated.
-    ``entry_children``
-        ``(m,)`` int64 — the BFS index of the child node (internal levels)
-        or the integer item id (leaves), parallel to ``entry_bounds``.
-    ``node_offsets``
-        ``(n + 1,)`` int64 — node ``k`` owns entries
-        ``node_offsets[k]:node_offsets[k + 1]``.
-    ``node_levels``
-        ``(n,)`` int64 — each node's level (0 = leaf).
-
-    The arrays are plain NumPy and therefore mmap-able: the warm plane
-    publishes them into shared memory and workers rebuild the tree over
-    zero-copy views (:func:`tree_from_packed`).
+    See :mod:`repro.index.packed` for the layout.  The arrays are the tree's
+    own read-side form, not a copy: the warm plane publishes them into
+    shared memory and workers wrap the shared pages
+    (:func:`tree_from_packed`).
     """
-    nodes: list[Node] = [tree.root]
-    cursor = 0
-    while cursor < len(nodes):
-        node = nodes[cursor]
-        cursor += 1
-        if not node.is_leaf:
-            nodes.extend(node.children)
-    index_of = {id(node): position for position, node in enumerate(nodes)}
-
-    all_bounds: list[Rect] = []
-    children: list[int] = []
-    offsets: list[int] = [0]
-    levels: list[int] = []
-    for node in nodes:
-        all_bounds.extend(node.bounds)
-        if node.is_leaf:
-            for item in node.children:
-                if not isinstance(item, int):
-                    raise TypeError(
-                        f"cannot pack leaf item {item!r}: only integer object "
-                        f"ids survive serialisation"
-                    )
-                children.append(item)
-        else:
-            children.extend(index_of[id(child)] for child in node.children)
-        offsets.append(len(all_bounds))
-        levels.append(node.level)
+    packed = tree.packed()
+    if packed.items is not None:
+        raise TypeError(
+            "cannot pack a tree with non-integer leaf items: only integer "
+            "object ids survive serialisation"
+        )
     return {
-        "entry_bounds": pack_bounds(all_bounds),
-        "entry_children": np.asarray(children, dtype=np.int64),
-        "node_offsets": np.asarray(offsets, dtype=np.int64),
-        "node_levels": np.asarray(levels, dtype=np.int64),
+        "entry_bounds": packed.entry_bounds,
+        "entry_children": packed.entry_children,
+        "node_offsets": packed.node_offsets,
+        "node_levels": packed.node_levels,
         "meta": (tree.max_entries, tree.min_entries, tree.reinsert_count, len(tree)),
     }
 
@@ -178,42 +168,13 @@ def tree_from_packed(
     meta: Sequence[int],
     item_bounds: Sequence[Rect] | None = None,
 ) -> RStarTree:
-    """Rebuild an :func:`pack_tree`'d tree, sharing ``entry_bounds`` storage.
+    """Wrap :func:`pack_tree`'d arrays as a tree, sharing their storage.
 
-    Each node's packed-bounds cache is pointed at its slice of
-    ``entry_bounds`` instead of a private copy, so when the array lives in
-    shared memory the vectorized kernels score nodes directly off the
-    shared pages — attaching a dataset never copies the index.
-
-    ``item_bounds`` (the object table, indexed by item id) lets leaf
-    entries reuse the caller's :class:`Rect` objects instead of
-    constructing fresh ones — leaf bounds *are* the item rectangles, so
-    the result is value-identical and materialisation roughly halves.
+    Nothing is copied or inflated: when the arrays live in shared memory the
+    searches read the shared pages directly — attaching a dataset never
+    copies the index.  ``item_bounds`` (the object table, indexed by item
+    id) is kept for the node graph a later insert or node-walking join may
+    ask for: its leaf entries then reuse the caller's :class:`Rect` objects.
     """
-    max_entries, min_entries, reinsert_count, size = (int(value) for value in meta)
-    tree = RStarTree(max_entries=max_entries)
-    tree.min_entries = min_entries
-    tree.reinsert_count = reinsert_count
-    nodes = [Node(level=int(level)) for level in node_levels]
-    for position, node in enumerate(nodes):
-        start = int(node_offsets[position])
-        stop = int(node_offsets[position + 1])
-        rows = entry_bounds[start:stop]
-        child_ids = entry_children[start:stop].tolist()
-        if node.is_leaf:
-            items = [int(item) for item in child_ids]
-            if item_bounds is not None:
-                bounds = [item_bounds[item] for item in items]
-            else:
-                bounds = [Rect._make(row) for row in rows.tolist()]
-            node.replace_entries(bounds, items)
-        else:
-            bounds = [Rect._make(row) for row in rows.tolist()]
-            node.replace_entries(bounds, [nodes[int(child)] for child in child_ids])
-        # share the packed storage: a zero-copy view, not a rebuilt array
-        node._bounds_array = rows
-    if nodes:
-        tree.root = nodes[0]
-        tree.root.parent = None
-    tree._size = size
-    return tree
+    packed = PackedTree(entry_bounds, entry_children, node_offsets, node_levels)
+    return RStarTree.from_packed(packed, meta, item_bounds)

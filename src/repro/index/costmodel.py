@@ -14,15 +14,17 @@ average extents ``s_{l,x} × s_{l,y}``, a uniformly placed window of size
 
 (the ``1`` is the root, which is always read).  The per-level statistics
 are measured from the actual tree, so the model captures packing quality;
-the uniformity assumption is what makes it analytical.
+the uniformity assumption is what makes it analytical.  They are read off the
+tree's packed arrays, so profiling a tree never builds its node graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..geometry import Rect
-from .node import Node
 from .rstar import RStarTree
 
 __all__ = ["LevelStats", "tree_level_stats", "predicted_node_accesses"]
@@ -45,25 +47,21 @@ def tree_level_stats(tree: RStarTree) -> list[LevelStats]:
     reported bottom-up (leaves first), matching the summation in
     :func:`predicted_node_accesses`.
     """
-    per_level: dict[int, list[Rect]] = {}
-    stack: list[Node] = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node is not tree.root:
-            assert node.mbr is not None
-            per_level.setdefault(node.level, []).append(node.mbr)
-        if not node.is_leaf:
-            stack.extend(node.children)
+    packed = tree.packed()
+    # the entries of the internal nodes *are* the MBRs of all non-root nodes:
+    # an entry of a level-l node bounds one node of level l − 1
+    internal = packed.offsets[len(packed.first_child)]
+    xmin, ymin, negated_xmax, negated_ymax = packed.keys[:, :internal]
+    entry_levels = np.repeat(packed.node_levels, np.diff(packed.node_offsets))[:internal]
     stats = []
-    for level in sorted(per_level):
-        mbrs = per_level[level]
-        count = len(mbrs)
+    for level in range(packed.levels[0]):
+        below = entry_levels == level + 1
         stats.append(
             LevelStats(
                 level=level,
-                node_count=count,
-                avg_extent_x=sum(m.width for m in mbrs) / count,
-                avg_extent_y=sum(m.height for m in mbrs) / count,
+                node_count=int(below.sum()),
+                avg_extent_x=float((-negated_xmax[below] - xmin[below]).mean()),
+                avg_extent_y=float((-negated_ymax[below] - ymin[below]).mean()),
             )
         )
     return stats

@@ -8,13 +8,17 @@ The heuristics of the paper issue two kinds of index reads:
   (implemented in :mod:`repro.core.best_value` because it is part of the
   paper's contribution, not of the generic index substrate).
 
-All traversals update :class:`~repro.index.stats.TreeStats` on the tree so
-benchmarks can report node accesses.
+Window and predicate queries descend the tree's packed read-side arrays
+(:class:`~repro.index.packed.PackedTree`) — one kernel call tests all entries
+of a node; k-NN still walks the node graph.  All traversals update
+:class:`~repro.index.stats.TreeStats` on the tree so benchmarks can report
+node accesses.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import Any, Iterator
 
 from ..geometry import INTERSECTS, Rect, SpatialPredicate
@@ -58,30 +62,46 @@ def search_predicate(
     stats = tree.stats
     pager = tree.pager
     stats.window_queries += 1
-    if tree.root.mbr is None:
+    packed = tree.packed()
+    offsets = packed.offsets
+    if not offsets[1]:
         return
     if pager is not None:
         obs = current()
         buffer_hits = obs.counter("index.buffer.hit")
         buffer_misses = obs.counter("index.buffer.miss")
-    stack = [tree.root]
+        page_base = id(packed)
+    leaf_score, inner_score = packed.scorers([(predicate, window)])
+    levels = packed.levels
+    first_child = packed.first_child
+    # the entries of the BFS prefix that qualify, found in one kernel call
+    prefix_nodes = packed.prefix_nodes
+    prefix_hits: list[int] = []
+    if prefix_nodes:
+        prefix_hits = packed.prefix_counts(leaf_score, inner_score).nonzero()[0].tolist()
+    stack = [0]
     while stack:
         node = stack.pop()
         stats.node_reads += 1
         if pager is not None:
-            if pager.access(id(node)):
+            if pager.access((page_base, node)):
                 buffer_hits.inc()
             else:
                 buffer_misses.inc()
-        if node.is_leaf:
-            stats.leaf_reads += 1
-            for rect, item in node.entries():
-                if predicate.test(rect, window):
-                    yield rect, item
+        start, stop = offsets[node], offsets[node + 1]
+        internal = levels[node] > 0
+        if node < prefix_nodes:
+            hits = prefix_hits[bisect_left(prefix_hits, start):bisect_left(prefix_hits, stop)]
         else:
-            for rect, child in node.entries():
-                if predicate.node_may_satisfy(rect, window):
-                    stack.append(child)
+            counts = (inner_score if internal else leaf_score)(start, stop)
+            hits = (counts.nonzero()[0] + start).tolist()
+        if internal:
+            child = first_child[node] - start
+            stack.extend([child + position for position in hits])
+        else:
+            stats.leaf_reads += 1
+            for position in hits:
+                yield packed.entry(position)
 
 
 def nearest_neighbors(

@@ -14,15 +14,25 @@ implementation follows the original publication:
 
 Deletion uses the classic condense-tree strategy (underfull nodes are
 dissolved and their entries reinserted at their original level).
+
+A tree has two forms.  The :class:`~repro.index.node.Node` graph is the
+write side: inserts, deletes and the node-walking joins work on it.  The
+:class:`~repro.index.packed.PackedTree` arrays are the read side: window
+queries and ``find_best_value`` descend them.  Each is derived from the
+other on demand — ``packed()`` flattens the graph on first read, ``root``
+inflates a graph for the first caller that walks nodes — and every mutator
+drops the packed form, so a bulk-loaded or warm-attached tree that is only
+read never builds a node at all.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..geometry import Rect, union_all
 from .buffer import BufferPool
 from .node import Node
+from .packed import PackedTree
 from .stats import TreeStats
 
 __all__ = ["RStarTree", "DEFAULT_MAX_ENTRIES"]
@@ -64,7 +74,11 @@ class RStarTree:
         self.max_entries = max_entries
         self.min_entries = max(1, int(min_fill * max_entries))
         self.reinsert_count = int(reinsert_fraction * max_entries)
-        self.root = Node(level=0)
+        self._root: Node | None = Node(level=0)
+        self._packed: PackedTree | None = None
+        #: the object table a packed tree was wrapped with; inflation reuses
+        #: its :class:`Rect` objects for the leaf entries
+        self._item_bounds: Sequence[Rect] | None = None
         self.stats = TreeStats()
         #: optional BufferPool; when set, read traversals report page accesses
         self.pager: BufferPool | None = None
@@ -72,6 +86,50 @@ class RStarTree:
         # levels that already received forced reinsertion in the current
         # top-level insert (the "first overflow per level" rule of [BKSS90])
         self._reinserted_levels: set[int] = set()
+
+    @classmethod
+    def from_packed(
+        cls,
+        packed: PackedTree,
+        meta: Sequence[int],
+        item_bounds: Sequence[Rect] | None = None,
+    ) -> "RStarTree":
+        """Wrap packed arrays as a tree without building a single node.
+
+        ``meta`` is ``(max_entries, min_entries, reinsert_count, size)``.
+        """
+        max_entries, min_entries, reinsert_count, size = (int(value) for value in meta)
+        tree = cls(max_entries=max_entries)
+        tree.min_entries = min_entries
+        tree.reinsert_count = reinsert_count
+        tree._root = None
+        tree._packed = packed
+        tree._item_bounds = item_bounds
+        tree._size = size
+        return tree
+
+    # ------------------------------------------------------------------
+    # the two forms
+    # ------------------------------------------------------------------
+    @property
+    def root(self) -> Node:
+        """The node graph's root, inflated from the packed form if need be."""
+        if self._root is None:
+            assert self._packed is not None
+            self._root = self._packed.inflate(self._item_bounds)
+        return self._root
+
+    @root.setter
+    def root(self, node: Node) -> None:
+        self._root = node
+        self._packed = None
+
+    def packed(self) -> PackedTree:
+        """The read-side arrays, flattened from the node graph if need be."""
+        if self._packed is None:
+            assert self._root is not None
+            self._packed = PackedTree.from_root(self._root)
+        return self._packed
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -82,21 +140,19 @@ class RStarTree:
     @property
     def height(self) -> int:
         """Number of levels; an empty tree has height 1 (the empty leaf root)."""
-        return self.root.level + 1
+        if self._root is None:
+            return self.packed().height
+        return self._root.level + 1
 
     def bounds(self) -> Rect | None:
         """MBR of the whole tree, ``None`` when empty."""
-        return self.root.mbr
+        if self._root is None:
+            return self.packed().bounds()
+        return self._root.mbr
 
     def items(self) -> Iterator[tuple[Rect, Any]]:
         """All ``(rect, item)`` leaf entries, in storage order."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield from node.entries()
-            else:
-                stack.extend(node.children)
+        return self.packed().leaf_entries()
 
     # ------------------------------------------------------------------
     # insertion
@@ -106,6 +162,8 @@ class RStarTree:
         rect.validate()
         self.stats.inserts += 1
         self._reinserted_levels = set()
+        _ = self.root  # the graph must exist before its packed source goes
+        self._packed = None
         self._insert_at_level(rect, item, level=0)
         self._size += 1
 
@@ -238,6 +296,7 @@ class RStarTree:
         found = self._find_leaf(self.root, rect, item)
         if found is None:
             return False
+        self._packed = None
         leaf, position = found
         leaf.remove_at(position)
         self.stats.deletes += 1

@@ -124,6 +124,11 @@ def canonical_query_key(
         raise ValueError(
             f"{query.num_variables} variables but {len(labels)} labels"
         )
+    if len(set(labels)) == len(labels):
+        # distinct labels leave no ambiguity: refinement would rank the
+        # variables by label and stop, so that order is taken directly
+        order = tuple(sorted(range(len(labels)), key=labels.__getitem__))
+        return _serialize(query, labels, order), order
     colors = _refine_colors(query, labels)
     groups: dict[int, list[int]] = {}
     for variable, color in enumerate(colors):

@@ -254,6 +254,6 @@ class DatasetRegistry:
 
 def _touch(dataset: SpatialDataset) -> int:
     """Materialise one dataset's query structures; returns 1."""
-    _ = dataset.tree.root.mbr
+    dataset.tree.packed()
     _ = dataset.columns
     return 1

@@ -6,9 +6,11 @@ into five shared-memory segments — the ``(4, n)`` columnar object table
 plus the four packed R*-tree arrays of
 :func:`repro.index.bulk.pack_tree` — and returns a picklable
 :class:`WarmDatasetSpec`.  Worker processes call :func:`attach_dataset`
-with that spec: the columns and the per-node bounds arrays of the rebuilt
-tree are zero-copy views over the shared pages, so attaching costs
-milliseconds and no per-worker memory for the payload.
+with that spec: the columns are zero-copy views over the shared pages and
+the four tree arrays are wrapped, as they are, as the tree's packed
+read-side form — no node is built unless a request later walks or mutates
+the tree — so attaching costs milliseconds and no per-worker memory for
+the payload.
 
 Attachments are cached per process (keyed by the columns segment name), so
 a long-lived worker attaches each dataset at most once and every

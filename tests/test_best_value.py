@@ -1,22 +1,30 @@
-"""find_best_value (Figure 5) vs the exhaustive-scan oracle.
+"""find_best_value (Figure 5) vs two oracles.
 
 The branch-and-bound must return exactly the same *score* as a linear scan
 of the whole domain, for any window set, floor and penalty function — on
 both the intersects hot path and the generic predicate path, and for every
-way a tree reaches the search (bulk-loaded, insert-built, unpacked from the
-warm plane's flat arrays).  The oracle scores through ``predicate.test``
-only, so it shares no code with the kernels the search runs on.
+way a tree reaches the search (bulk-loaded, insert-built, wrapped around the
+warm plane's flat arrays, re-packed after a mutation).  That oracle scores
+through ``predicate.test`` only, so it shares no code with the kernels the
+search runs on.
+
+The search descends packed arrays; the recursive node-at-a-time descent it
+replaced lives on here (:func:`reference_find_best_value`) as the second
+oracle: same *item*, same ``node_reads`` / ``leaf_reads`` — i.e. the same
+visit order and tie-breaks, which is what keeps seeded runs reproducible.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Rect, RStarTree, bulk_load
-from repro.core.best_value import brute_force_best_value, find_best_value
+from repro.core.best_value import BestValue, brute_force_best_value, find_best_value
 from repro.geometry import CONTAINS, INSIDE, INTERSECTS, NORTHEAST, WithinDistance
+from repro.geometry.kernels import make_count_scorer
 from repro.index.bulk import pack_tree, tree_from_packed
 
 from conftest import rect_lists, rects
@@ -30,16 +38,38 @@ def _inserted(entries, max_entries):
 
 
 def _unpacked(entries, max_entries):
-    # node bounds arrays become slices of one shared buffer
     return tree_from_packed(**pack_tree(bulk_load(entries, max_entries=max_entries)))
+
+
+def _never_inflated(entries, max_entries):
+    """What a warm worker holds: read-only arrays, never asked for a node."""
+    packed = pack_tree(_inserted(entries, max_entries))
+    arrays = []
+    for name in ("entry_bounds", "entry_children", "node_offsets", "node_levels"):
+        frozen = packed[name].copy()
+        frozen.flags.writeable = False
+        arrays.append(frozen)
+    return tree_from_packed(*arrays, packed["meta"])
+
+
+def _remutated(entries, max_entries):
+    """Inserted, packed by a read, mutated again: the second read must see a
+    fresh packed form, not the dropped one."""
+    half = len(entries) // 2
+    tree = _inserted(entries[:half] + [(Rect(0, 0, 1, 1), -1)], max_entries)
+    find_best_value(tree, [(INTERSECTS, Rect(0, 0, 1, 1))], -1.0)
+    assert tree.delete(Rect(0, 0, 1, 1), -1)
+    for rect, item in entries[half:]:
+        tree.insert(rect, item)
+    return tree
 
 
 # module scope: the builders are stateless, and hypothesis rejects
 # function-scoped fixtures under @given
 @pytest.fixture(
     scope="module",
-    params=[bulk_load, _inserted, _unpacked],
-    ids=["bulk_load", "inserted", "unpacked"],
+    params=[bulk_load, _inserted, _unpacked, _never_inflated, _remutated],
+    ids=["bulk_load", "inserted", "unpacked", "never_inflated", "remutated"],
 )
 def make_tree(request):
     def make(rect_list, max_entries=4):
@@ -48,13 +78,77 @@ def make_tree(request):
     return make
 
 
-def assert_same_outcome(found, expected):
+def assert_same_outcome(found, expected, penalised=False):
     if expected is None:
         assert found is None
     else:
         assert found is not None
         assert found.score == pytest.approx(expected.score)
-        assert found.satisfied == expected.satisfied
+        # under a penalty two objects may tie on score with different counts
+        if not penalised:
+            assert found.satisfied == expected.satisfied
+
+
+def reference_find_best_value(tree, constraints, floor_score, penalty=None):
+    """The recursive per-``Node`` descent ``find_best_value`` used to be.
+
+    Returns ``(best, node_reads, leaf_reads)``; walks ``tree.root``, so it
+    inflates a packed tree — call it after the search under test.
+    """
+    leaf_scorer = make_count_scorer(constraints, "test")
+    inner_scorer = make_count_scorer(constraints, "filter")
+    best = None
+    best_score = floor_score
+    reads = [0, 0]
+
+    def descend(node):
+        nonlocal best, best_score
+        reads[0] += 1
+        if node.is_leaf:
+            reads[1] += 1
+        counts = (leaf_scorer if node.is_leaf else inner_scorer)(node.bounds_array())
+        candidates = np.flatnonzero(counts > best_score)
+        if candidates.size == 0:
+            return
+        order = candidates[np.argsort(-counts[candidates], kind="stable")]
+        if node.is_leaf:
+            for position in order:
+                satisfied = int(counts[position])
+                if satisfied <= best_score:
+                    break
+                item = node.children[position]
+                score = float(satisfied)
+                if penalty is not None:
+                    score -= penalty(item)
+                if score > best_score:
+                    best_score = score
+                    best = BestValue(item, node.bounds[position], satisfied, score)
+        else:
+            for position in order:
+                if counts[position] > best_score:
+                    descend(node.children[position])
+
+    if tree.root.mbr is not None:
+        descend(tree.root)
+    return best, reads[0], reads[1]
+
+
+def assert_same_search(tree, constraints, floor, penalty=None):
+    """Same item, rect, scores and node/leaf reads as the node descent."""
+    before = tree.stats.snapshot()
+    found = find_best_value(tree, constraints, floor, penalty=penalty)
+    work = tree.stats.diff(before)
+    expected, node_reads, leaf_reads = reference_find_best_value(
+        tree, constraints, floor, penalty
+    )
+    assert (work["node_reads"], work["leaf_reads"]) == (node_reads, leaf_reads)
+    assert work["best_value_searches"] == 1
+    if expected is None:
+        assert found is None
+    else:
+        assert (found.item, found.rect, found.satisfied, found.score) == (
+            expected.item, expected.rect, expected.satisfied, expected.score
+        )
 
 
 class TestAgainstOracleIntersects:
@@ -142,7 +236,9 @@ class TestPenalties:
         tree = make_tree(rect_list)
         found = find_best_value(tree, constraints, -1.0, penalty=penalty)
         expected = brute_force_best_value(rect_list, constraints, -1.0, penalty=penalty)
-        assert_same_outcome(found, expected)
+        assert_same_outcome(found, expected, penalised=True)
+        if found is not None:
+            assert found.score == pytest.approx(found.satisfied - penalty(found.item))
 
     def test_penalty_breaks_tie_toward_unpunished(self, make_tree):
         # two identical rects both satisfying the window; penalise item 0
@@ -156,6 +252,88 @@ class TestPenalties:
         assert found.score == pytest.approx(1.0)
 
 
+# the reference walks nodes, so it runs on the builders that may inflate
+@pytest.fixture(
+    scope="module",
+    params=[bulk_load, _inserted, _unpacked, _remutated],
+    ids=["bulk_load", "inserted", "unpacked", "remutated"],
+)
+def make_walkable_tree(request):
+    def make(rect_list, max_entries=4):
+        return request.param(list(zip(rect_list, range(len(rect_list)))), max_entries)
+
+    return make
+
+
+class TestAgainstNodeDescent:
+    """Same winner — not only the same score — and the same reads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rect_lists(min_length=1, max_length=120),
+        st.lists(rects(), min_size=1, max_size=5),
+        st.integers(min_value=-1, max_value=4),
+    )
+    def test_intersects(self, make_walkable_tree, rect_list, windows, floor):
+        tree = make_walkable_tree(rect_list)
+        assert_same_search(tree, [(INTERSECTS, w) for w in windows], float(floor))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rect_lists(min_length=1, max_length=120),
+        st.lists(rects(), min_size=1, max_size=3),
+        st.dictionaries(st.integers(0, 119), st.floats(0.0, 2.0), max_size=20),
+        st.floats(min_value=-1.0, max_value=2.0),
+    )
+    def test_penalised(self, make_walkable_tree, rect_list, windows, raw, floor):
+        tree = make_walkable_tree(rect_list)
+        constraints = [(INTERSECTS, w) for w in windows]
+        assert_same_search(tree, constraints, floor, penalty=lambda item: raw.get(item, 0.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rect_lists(min_length=1, max_length=120),
+        rects(),
+        rects(),
+        st.floats(min_value=0.0, max_value=10.0),
+        st.integers(min_value=-1, max_value=2),
+    )
+    def test_mixed_predicates(self, make_walkable_tree, rect_list, w1, w2, distance, floor):
+        constraints = [(INSIDE, w1), (WithinDistance(distance), w2), (INTERSECTS, w2)]
+        assert_same_search(make_walkable_tree(rect_list), constraints, float(floor))
+
+    def test_deep_tree_with_a_multi_level_prefix(self, make_walkable_tree):
+        # 2 000 objects at fan-out 4: six levels, the upper ones scored at once
+        rng = random.Random(3)
+        rect_list = [
+            Rect.from_center(rng.random(), rng.random(), 0.04, 0.04) for _ in range(2_000)
+        ]
+        tree = make_walkable_tree(rect_list)
+        assert tree.packed().prefix_nodes > 1
+        for _ in range(40):
+            windows = [
+                Rect.from_center(0.3 + 0.4 * rng.random(), 0.3 + 0.4 * rng.random(), 0.1, 0.1)
+                for _ in range(4)
+            ]
+            constraints = [(INTERSECTS, w) for w in windows]
+            floor = float(rng.randrange(-1, 3))
+            assert_same_search(tree, constraints, floor)
+            assert_same_search(
+                tree, constraints, floor, penalty=lambda item: (item % 7) / 4.0
+            )
+
+
+def test_never_inflated_tree_builds_no_node():
+    rect_list = [Rect(i, i, i + 2, i + 2) for i in range(50)]
+    tree = _never_inflated(list(zip(rect_list, range(50))), 4)
+    found = find_best_value(tree, [(INTERSECTS, Rect(10, 10, 11, 11))], 0.0)
+    assert found is not None and found.rect == rect_list[found.item]
+    assert tree._root is None
+    assert len(tree) == 50 and tree.height > 1 and tree.bounds() == Rect(0, 0, 51, 51)
+    assert sorted(item for _rect, item in tree.items()) == list(range(50))
+    assert tree._root is None
+
+
 class TestPruningEfficiency:
     def test_branch_and_bound_reads_fewer_nodes_than_full_scan(self, make_tree):
         rng = random.Random(0)
@@ -164,18 +342,9 @@ class TestPruningEfficiency:
             for _ in range(2_000)
         ]
         tree = make_tree(rect_list, max_entries=16)
-        total_nodes = 1 + sum(
-            1 for _ in _iter_nodes(tree.root)
-        )
+        total_nodes = len(tree.packed().levels)
         constraints = [(INTERSECTS, Rect(0.5, 0.5, 0.52, 0.52))]
         tree.stats.reset()
         find_best_value(tree, constraints, 0.0)
         assert tree.stats.node_reads < total_nodes / 2
         assert tree.stats.best_value_searches == 1
-
-
-def _iter_nodes(node):
-    for child in node.children:
-        if hasattr(child, "children"):
-            yield child
-            yield from _iter_nodes(child)

@@ -101,8 +101,43 @@ class TestTreeIntegration:
         b.tree.pager = pool
         list(search_items(a.tree, Rect(0, 0, 1, 1)))
         list(search_items(b.tree, Rect(0, 0, 1, 1)))
-        # pages of distinct trees never collide (identity-based page ids)
+        # pages of distinct trees never collide: a page id names the tree's
+        # packed form and the node's index in it
         assert pool.misses >= 2
+        assert pool.hits == 0
+        assert pool.misses == a.tree.stats.node_reads + b.tree.stats.node_reads
+
+    def test_best_value_pages_never_alias_across_trees(self):
+        """Two bulk-loaded trees on one pool: node k of one is not node k
+        of the other, for ``find_best_value`` as for window queries."""
+        from repro.core.best_value import find_best_value
+        from repro.geometry import INTERSECTS
+
+        a = uniform_dataset(300, 0.1, random.Random(4))
+        b = uniform_dataset(300, 0.1, random.Random(5))
+        pool = BufferPool(capacity=4_096)  # nothing is ever evicted
+        a.tree.pager = pool
+        b.tree.pager = pool
+        rng = random.Random(6)
+        for _ in range(40):
+            x, y = rng.random() * 0.8, rng.random() * 0.8
+            constraints = [
+                (INTERSECTS, Rect(x, y, x + 0.1, y + 0.1)),
+                (INTERSECTS, Rect(x + 0.05, y + 0.05, x + 0.2, y + 0.2)),
+            ]
+            for dataset in (a, b):
+                find_best_value(dataset.tree, constraints, 0.0)
+                list(search_items(dataset.tree, constraints[0][1]))
+        reads = a.tree.stats.node_reads + b.tree.stats.node_reads
+        assert pool.accesses == reads
+        # with no eviction every distinct page misses exactly once, and the
+        # resident set is the disjoint union of the pages each tree touched
+        pages_a = {page for page in pool._resident if page[0] == id(a.tree.packed())}
+        pages_b = {page for page in pool._resident if page[0] == id(b.tree.packed())}
+        assert pages_a and pages_b
+        assert pool.misses == len(pool) == len(pages_a) + len(pages_b)
+        assert {node for _tree, node in pages_a} & {node for _tree, node in pages_b}
+        assert a.tree._root is None and b.tree._root is None
 
 
 class TestObsCounters:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Rect, bulk_load
-from repro.geometry import CONTAINS, INSIDE, NORTHEAST, WithinDistance
+from repro import Rect, RStarTree, bulk_load
+from repro.geometry import CONTAINS, INSIDE, INTERSECTS, NORTHEAST, WithinDistance
 from repro.index.queries import nearest_neighbors, search_predicate
 
 from conftest import rect_lists, rects
@@ -65,6 +65,58 @@ class TestPredicateSearch:
     def test_empty_tree(self):
         tree = bulk_load([])
         assert list(search_predicate(tree, INSIDE, Rect(0, 0, 1, 1))) == []
+
+
+def node_walk_search(tree, predicate, window):
+    """The node-at-a-time search ``search_predicate`` used to be: the
+    reference for yield *order* and read counts on the inflated form."""
+    reads = 0
+    hits = []
+    stack = [tree.root] if tree.root.mbr is not None else []
+    while stack:
+        node = stack.pop()
+        reads += 1
+        if node.is_leaf:
+            hits.extend(
+                (rect, item) for rect, item in node.entries() if predicate.test(rect, window)
+            )
+        else:
+            stack.extend(
+                child
+                for rect, child in node.entries()
+                if predicate.node_may_satisfy(rect, window)
+            )
+    return hits, reads
+
+
+class TestPackedAndInflatedFormsAgree:
+    PREDICATES = [INTERSECTS, INSIDE, CONTAINS, NORTHEAST, WithinDistance(3.0)]
+
+    def check(self, tree, window):
+        for predicate in self.PREDICATES:
+            before = tree.stats.node_reads
+            got = list(search_predicate(tree, predicate, window))
+            reads = tree.stats.node_reads - before
+            assert (got, reads) == node_walk_search(tree, predicate, window)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rect_lists(max_length=120), rects())
+    def test_bulk_loaded(self, rect_list, window):
+        tree = make_tree(rect_list)
+        list(search_predicate(tree, INTERSECTS, window))
+        assert tree._root is None  # the search ran on the arrays alone
+        self.check(tree, window)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rect_lists(max_length=120), rects())
+    def test_insert_built_and_mutated(self, rect_list, window):
+        tree = RStarTree(max_entries=4)
+        for item, rect in enumerate(rect_list):
+            tree.insert(rect, item)
+        self.check(tree, window)
+        assert tree.delete(rect_list[0], 0)
+        tree.insert(window, "window")
+        self.check(tree, window)
 
 
 class TestNearestNeighbors:

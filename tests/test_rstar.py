@@ -185,3 +185,83 @@ class TestValidateCatchesCorruption:
         tree._size = 7
         with pytest.raises(AssertionError):
             tree.validate()
+
+
+class TestTwoForms:
+    """The node graph is the write side, the packed arrays the read side:
+    each is derived from the other on demand and every mutator drops the
+    packed form."""
+
+    def entries(self, count, seed=11):
+        rng = random.Random(seed)
+        return [
+            (Rect.from_center(rng.random(), rng.random(), 0.05, 0.05), index)
+            for index in range(count)
+        ]
+
+    def test_packed_is_cached_between_reads(self):
+        tree = make_tree(self.entries(50))
+        assert tree.packed() is tree.packed()
+        list(search(tree, Rect(0, 0, 1, 1)))
+        assert tree.packed() is tree.packed()
+
+    def test_insert_invalidates_packed(self):
+        entries = self.entries(60)
+        tree = make_tree(entries[:40], max_entries=4)
+        first = tree.packed()
+        assert set(search_items(tree, Rect(0, 0, 1, 1))) == set(range(40))
+        for rect, item in entries[40:]:  # splits and forced reinserts included
+            tree.insert(rect, item)
+            assert tree._packed is None
+        second = tree.packed()
+        assert second is not first
+        assert set(search_items(tree, Rect(0, 0, 1, 1))) == set(range(60))
+        assert tree.stats.splits > 0 and tree.stats.reinserts > 0
+
+    def test_delete_invalidates_packed_only_when_it_removes(self):
+        entries = self.entries(80)
+        tree = make_tree(entries, max_entries=4)
+        before = tree.packed()
+        assert not tree.delete(Rect(5, 5, 6, 6), "absent")
+        assert tree.packed() is before
+        for rect, item in entries[::2]:  # condense-tree and root shrinks included
+            assert tree.delete(rect, item)
+            assert tree._packed is None
+            assert item not in set(search_items(tree, rect))
+        assert tree.packed() is not before
+        assert sorted(item for _r, item in tree.items()) == list(range(1, 80, 2))
+        tree.validate()
+
+    def test_bulk_loaded_tree_inflates_lazily_and_stays_mutable(self):
+        from repro import bulk_load
+
+        entries = self.entries(300)
+        tree = bulk_load(entries, max_entries=6)
+        assert tree._root is None
+        # whole-tree answers and queries come from the arrays alone
+        assert len(tree) == 300 and tree.height >= 3
+        assert tree.bounds() == Rect.from_points(
+            [(r.xmin, r.ymin) for r, _ in entries] + [(r.xmax, r.ymax) for r, _ in entries]
+        )
+        assert sorted(tree.items()) == sorted(entries)
+        window = Rect(0.2, 0.2, 0.6, 0.6)
+        assert set(search_items(tree, window)) == brute_window(entries, window)
+        assert tree._root is None
+        tree.validate()  # walks nodes: inflates, keeps the arrays
+        assert tree._root is not None and tree._packed is not None
+        tree.insert(Rect(0.3, 0.3, 0.31, 0.31), 300)
+        assert tree._packed is None
+        assert tree.delete(*entries[7])
+        tree.validate()
+        live = entries[:7] + entries[8:] + [(Rect(0.3, 0.3, 0.31, 0.31), 300)]
+        assert set(search_items(tree, window)) == brute_window(live, window)
+        assert tree.height == tree.packed().height
+        assert tree.bounds() == tree.packed().bounds()
+
+    def test_non_integer_items_survive_packing(self):
+        tree = RStarTree(max_entries=4)
+        names = [f"obj-{index}" for index in range(30)]
+        for (rect, _), name in zip(self.entries(30), names):
+            tree.insert(rect, name)
+        assert sorted(search_items(tree, Rect(0, 0, 1, 1))) == sorted(names)
+        assert sorted(item for _r, item in tree.items()) == sorted(names)
