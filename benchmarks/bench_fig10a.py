@@ -41,7 +41,7 @@ def test_fig10a(benchmark):
             "section": f"{row['query']}/n={row['n']}/{algorithm}",
             "value": row[algorithm],
             "unit": "similarity",
-            "better": None,  # approximation quality: tracked, never gated
+            "better": None,  # approximation quality: informational
             "meta": {
                 "query": row["query"], "n": row["n"],
                 "density": row["density"], "time_limit": row["time_limit"],

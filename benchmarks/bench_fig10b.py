@@ -31,7 +31,7 @@ def test_fig10b(benchmark):
             "section": f"{query_type}/{name}",
             "value": series[-1],
             "unit": "similarity",
-            "better": None,  # staircase endpoint: tracked, never gated
+            "better": None,  # staircase endpoint: informational
             "meta": {
                 "query": query_type,
                 "grid": [round(t, 4) for t in data["grid"]],

@@ -42,7 +42,7 @@ def test_fig10c(benchmark):
             "section": f"Sol={row['Sol']:g}/{algorithm}",
             "value": row[algorithm],
             "unit": "similarity",
-            "better": None,  # approximation quality: tracked, never gated
+            "better": None,  # approximation quality: informational
             "meta": {"Sol": row["Sol"], "density": row["density"]},
         }
         for row in rows

@@ -5,8 +5,9 @@ pytest captures stdout, rendered tables are registered here and printed in
 the terminal summary, after pytest-benchmark's own timing table.
 
 Scale knobs: every benchmark honours the ``REPRO_BENCH_SCALE`` environment
-variable (default 1.0 = the quick CI configuration).  Multiply budgets,
-dataset sizes and repetitions towards the paper's setting, e.g.::
+variable.  The default 1.0 is the laptop configuration; CI and every
+``runs/*/run_all.sh`` run the quick ``REPRO_BENCH_SCALE=0.1``.  Multiply
+budgets, dataset sizes and repetitions towards the paper's setting, e.g.::
 
     REPRO_BENCH_SCALE=10 pytest benchmarks/bench_fig10a.py --benchmark-only
 """

@@ -31,8 +31,8 @@ RL012             non-spec values crossing the process-pool pickle
                   boundary (``submit``/``run_specs*``/``SolveJob``)
 RL013             ``fault_point`` sites not declared in
                   ``faults/hooks.py``, and declared-but-dead sites
-RL014             benchmark results written with raw ``json.dump`` /
-                  ``write_json`` instead of the perf ledger
+RL014             benchmark results written with raw ``json.dump``
+                  instead of the benchmark ledger
                   (``repro.bench.ledger.emit_sections``)
 ================  ====================================================
 """
@@ -1330,28 +1330,24 @@ class FaultSiteConsistency(ProjectChecker):
 
 
 # ----------------------------------------------------------------------
-# RL014 — benchmark results go through the perf ledger
+# RL014 — benchmark results go through the benchmark ledger
 # ----------------------------------------------------------------------
 @register
 class LedgerDiscipline(Checker):
     """Benchmarks persist results through :mod:`repro.bench.ledger` only.
 
-    The perf-trajectory ledger is the single source of truth ``repro
-    bench compare`` gates CI on: every row is schema-validated, stamped
-    with the run id / commit / environment fingerprint, and appended to
-    one diffable JSONL trajectory.  A benchmark that writes its numbers
-    with a raw ``json.dump`` (or the pre-ledger ``write_json`` helper)
-    produces an orphan blob the regression gate never sees — the exact
-    failure mode the five ad-hoc ``BENCH_*.json`` schemas used to be.
-    ``emit_sections`` still writes the legacy per-family JSON next to the
-    ledger rows, so there is no reason to bypass it.
+    The ledger is the one row format the figure pipelines
+    (``runs/*/to_csv.py``) read: every row is schema-validated and stamped
+    with the run id / commit / environment fingerprint.  A benchmark that
+    writes its numbers with a raw ``json.dump`` produces an orphan blob in
+    a private schema that nothing downstream reads or validates.
     """
 
     rule = "RL014"
     description = "benchmark results must be emitted through repro.bench.ledger"
 
     #: call names that serialize results behind the ledger's back
-    RAW_WRITERS = frozenset({"json.dump", "write_json"})
+    RAW_WRITERS = frozenset({"json.dump"})
 
     def applies(self, module: Module) -> bool:
         return module.in_directory("benchmarks") or module.parts[0] == "benchmarks"
@@ -1361,16 +1357,13 @@ class LedgerDiscipline(Checker):
             if not isinstance(node, ast.Call):
                 continue
             dotted = _dotted(node.func)
-            if dotted is None:
-                continue
-            name = dotted.rsplit(".", 1)[-1]
-            if dotted in self.RAW_WRITERS or name == "write_json":
+            if dotted in self.RAW_WRITERS:
                 yield self.finding(
                     module,
                     node,
                     f"benchmark result written with {dotted}() instead of "
-                    "the perf ledger",
+                    "the benchmark ledger",
                     hint="emit sections through repro.bench.ledger."
-                    "emit_sections (it appends validated ledger rows and "
-                    "still writes the legacy BENCH_*.json payload)",
+                    "emit_sections (it validates and stamps every row "
+                    "before appending it)",
                 )

@@ -1,17 +1,5 @@
-"""Experiment harness: figure drivers, table rendering, and the perf ledger."""
+"""Experiment harness: figure drivers, table rendering, and the benchmark ledger."""
 
-from .compare import (
-    DEFAULT_TIME_THRESHOLD_PCT,
-    TIME_UNITS,
-    CompareEntry,
-    CompareResult,
-    compare_ledgers,
-    format_compare,
-    latest_rows,
-    section_series,
-    summarize_ledger,
-)
-from .driver import TIERS, BenchOutcome, discover_benchmarks, run_benchmarks
 from .figplot import ascii_chart, have_matplotlib, save_png
 from .ledger import (
     LEDGER_VERSION,
@@ -24,7 +12,7 @@ from .ledger import (
     timer_stats,
     validate_row,
 )
-from .reporting import format_series, format_table, write_csv, write_json
+from .reporting import format_series, format_table, write_csv
 from .runner import (
     Fig10aConfig,
     Fig10bConfig,
@@ -42,7 +30,6 @@ __all__ = [
     "format_table",
     "format_series",
     "write_csv",
-    "write_json",
     "Fig10aConfig",
     "run_fig10a",
     "Fig10bConfig",
@@ -62,19 +49,6 @@ __all__ = [
     "environment_fingerprint",
     "git_commit",
     "new_run_id",
-    "CompareEntry",
-    "CompareResult",
-    "compare_ledgers",
-    "format_compare",
-    "latest_rows",
-    "summarize_ledger",
-    "section_series",
-    "TIME_UNITS",
-    "DEFAULT_TIME_THRESHOLD_PCT",
-    "TIERS",
-    "BenchOutcome",
-    "discover_benchmarks",
-    "run_benchmarks",
     "ascii_chart",
     "have_matplotlib",
     "save_png",

@@ -1,34 +1,35 @@
-"""The perf-trajectory ledger: schema-versioned benchmark rows as JSONL.
+"""The benchmark ledger: schema-versioned benchmark rows as JSONL.
 
-Every measured benchmark section becomes one flat JSON row — the bench
-counterpart of the obs event schema (:mod:`repro.obs.events`), with the
-same strictness contract: a fixed ``v`` schema version, required typed
-fields, booleans rejected where numbers are expected, unknown extra
-fields allowed for forward compatibility.  A row looks like::
+The row format of the figure pipelines: every measured benchmark section
+becomes one flat JSON row — the bench counterpart of the obs event schema
+(:mod:`repro.obs.events`), with the same strictness contract: a fixed
+``v`` schema version, required typed fields, booleans rejected where
+numbers are expected, unknown extra fields allowed for forward
+compatibility.  A row looks like::
 
     {"v": 1, "run_id": "689a0c3e-00042", "ts": 1754650000.0,
-     "commit": "61e63b8", "bench": "kernels",
-     "section": "count_violations_batch[2000]",
+     "commit": "61e63b8", "bench": "faults",
+     "section": "warm_solve",
      "value": 4.7e-05, "unit": "s", "better": "lower",
      "timer": {"repeats": 3, "p50": 5.1e-05, "min": 4.7e-05},
      "env": {"python": "3.11.7", "numpy": "2.4.6", "scale": 1.0, ...},
      "meta": {...}, "metrics": {...}}
 
-``value`` is the section's headline number (best-of-N seconds, a speedup,
-a percentage — ``unit`` says which); ``better`` declares the regression
-direction ``repro bench compare`` gates on (``"lower"`` / ``"higher"``),
-or ``None`` for informational rows that are tracked but never fail CI.
-``timer`` carries the repeat statistics when the value came from a timing
-loop.  ``env`` fingerprints the host so cross-machine rows are never
-silently compared, and ``metrics``/``meta`` attach the obs snapshot and
-free-form section context.
+``value`` is the section's headline number (best-of-N seconds, a
+similarity, a percentage — ``unit`` says which); ``better`` records which
+direction is an improvement (``"lower"`` / ``"higher"``), or ``None``
+for rows that are informational.  ``timer`` carries the repeat statistics
+when the value came from a timing loop.  ``env`` fingerprints the host
+and the ``REPRO_BENCH_SCALE`` the row was measured at, and
+``metrics``/``meta`` attach the obs snapshot and free-form section
+context.
 
 Benchmarks emit through :func:`emit_sections`, which stamps the shared
-fields (run id, commit, timestamp, environment), appends to the ledger
-(``REPRO_LEDGER_PATH``, default ``BENCH_ledger.jsonl``) and still writes
-the legacy per-family ``BENCH_*.json`` payload so existing dashboards
-keep working.  ``repro bench compare`` diffs the latest rows against
-``benchmarks/BASELINE.jsonl``.
+fields (run id, commit, timestamp, environment) and appends to the ledger
+(``REPRO_LEDGER_PATH``, default :data:`DEFAULT_LEDGER_NAME` in the working
+directory); ``runs/*/to_csv.py`` read the rows back with
+:func:`read_ledger`.  Performance is judged elsewhere — by
+``python3 perf/run.py`` and ``perf/compare.py`` (``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "LEDGER_VERSION",
     "DEFAULT_LEDGER_NAME",
     "LEDGER_PATH_ENV",
-    "RUN_ID_ENV",
     "LedgerWriter",
     "validate_row",
     "read_ledger",
@@ -63,12 +63,9 @@ LEDGER_VERSION = 1
 #: environment variable overriding where rows are appended
 LEDGER_PATH_ENV = "REPRO_LEDGER_PATH"
 
-#: environment variable sharing one run id across benchmark subprocesses
-RUN_ID_ENV = "REPRO_BENCH_RUN_ID"
-
 DEFAULT_LEDGER_NAME = "BENCH_ledger.jsonl"
 
-#: accepted values of the ``better`` gating direction
+#: accepted values of the ``better`` direction
 BETTER_DIRECTIONS = ("lower", "higher")
 
 _FieldSpec = dict[str, tuple[type, ...]]
@@ -214,8 +211,7 @@ def environment_fingerprint() -> dict[str, Any]:
     """Host/python/numpy fingerprint stamped onto every row.
 
     ``scale`` records the ``REPRO_BENCH_SCALE`` the numbers were measured
-    at — ``bench compare`` refuses to diff rows measured at different
-    scales (the workload sizes differ).
+    at — rows measured at different scales are different workloads.
     """
     import numpy
 
@@ -246,25 +242,19 @@ def git_commit(cwd: Optional[str] = None) -> Optional[str]:
 
 
 def new_run_id() -> str:
-    """One id shared by every row of one benchmark invocation.
+    """One id shared by every row of one :func:`emit_sections` call.
 
-    ``repro bench run`` exports :data:`RUN_ID_ENV` so all benchmark
-    subprocesses of one invocation land under the same id; a directly
-    invoked benchmark derives a start-time/pid id (no RNG involved —
-    RL001 applies to ``src/``).
+    Derived from start time and pid (no RNG involved — RL001 applies to
+    ``src/``).
     """
-    from_env = os.environ.get(RUN_ID_ENV)
-    if from_env:
-        return from_env
     return f"{int(time.time()):08x}-{os.getpid():05d}"
 
 
-def ledger_path(default_dir: Optional[str] = None) -> str:
+def ledger_path() -> str:
     """Resolve where rows are appended: env override, else the default name."""
-    from_env = os.environ.get(LEDGER_PATH_ENV)
-    if from_env:
-        return from_env
-    return os.path.join(default_dir or os.getcwd(), DEFAULT_LEDGER_NAME)
+    return os.environ.get(LEDGER_PATH_ENV) or os.path.join(
+        os.getcwd(), DEFAULT_LEDGER_NAME
+    )
 
 
 def emit_sections(
@@ -272,28 +262,22 @@ def emit_sections(
     sections: Iterable[Mapping[str, Any]],
     *,
     ledger: Optional[str] = None,
-    legacy_path: Optional[str] = None,
-    legacy_payload: Optional[dict[str, Any]] = None,
 ) -> list[dict[str, Any]]:
     """Persist one benchmark family's measured sections.
 
     Each section mapping needs ``section``/``value``/``unit`` and may carry
-    ``better`` (gating direction, default ``None``), ``timer`` (from
+    ``better`` (improvement direction, default ``None``), ``timer`` (from
     :func:`timer_stats`) and ``meta``.  The shared fields — run id, commit,
     timestamp, environment fingerprint, and the active observation's metric
     snapshot (with ``service.solve`` latency percentiles when the sink
     recorded them) — are stamped here, once, identically onto every row.
 
     Rows are appended to the ledger (``ledger`` argument, else
-    :data:`LEDGER_PATH_ENV`, else ``BENCH_ledger.jsonl`` next to
-    ``legacy_path`` or in the working directory).  When ``legacy_path`` is
-    given the pre-ledger ``BENCH_*.json`` payload (``legacy_payload`` or
-    ``{"sections": [...]}``) is written too, via
-    :func:`repro.bench.reporting.write_json`.
+    :data:`LEDGER_PATH_ENV`, else :data:`DEFAULT_LEDGER_NAME` in the
+    working directory).
     """
     from ..obs import current
     from ..obs.report import service_latency
-    from .reporting import write_json
 
     sections = [dict(section) for section in sections]
     metrics: Optional[dict[str, Any]] = None
@@ -332,12 +316,7 @@ def emit_sections(
             row["metrics"] = metrics
         rows.append(row)
 
-    default_dir = os.path.dirname(os.path.abspath(legacy_path)) if legacy_path else None
-    target = ledger or ledger_path(default_dir)
-    with LedgerWriter(target) as writer:
+    with LedgerWriter(ledger or ledger_path()) as writer:
         for row in rows:
             writer.write(row)
-
-    if legacy_path is not None:
-        write_json(legacy_path, legacy_payload or {"sections": sections})
     return rows

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "format_series", "write_csv", "write_json"]
+__all__ = ["format_table", "format_series", "write_csv"]
 
 
 def format_table(
@@ -66,31 +66,6 @@ def write_csv(
         writer.writerow(list(columns))
         for row in rows:
             writer.writerow(list(row))
-
-
-def write_json(path, payload: object, indent: int = 2) -> None:
-    """Write a benchmark payload as pretty-printed JSON.
-
-    Used by ``benchmarks/bench_kernels.py`` to emit machine-readable
-    speedup reports (``BENCH_kernels.json``) next to the rendered tables.
-    When an observation is active (``repro.obs``), its metric snapshot is
-    attached to dict payloads under ``"metrics"`` so every ``BENCH_*.json``
-    records the index/evaluator work behind its numbers.
-    """
-    import json
-
-    from ..obs import current
-
-    observation = current()
-    if (
-        observation.enabled
-        and isinstance(payload, dict)
-        and "metrics" not in payload
-    ):
-        payload = {**payload, "metrics": observation.registry.snapshot()}
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=indent, sort_keys=True)
-        handle.write("\n")
 
 
 def _render_cell(cell: object, precision: int) -> str:

@@ -16,13 +16,6 @@ Commands
     Inspect JSONL traces produced by ``solve --trace``: ``trace summarize``
     prints the per-phase time/node-access table, ``trace validate`` checks
     every record against the event schema.
-``bench``
-    The perf-trajectory harness: ``bench run`` executes the
-    ``benchmarks/bench_*.py`` families through a common runner that
-    appends schema-versioned rows to the JSONL ledger, ``bench compare``
-    diffs the ledger against the committed baseline and exits non-zero on
-    a hot-path regression beyond the threshold, ``bench ledger``
-    summarizes the measured trajectory across runs/commits.
 ``serve`` / ``query``
     Run the deadline-driven join service (:mod:`repro.service`) over
     registered datasets / issue one request against a running server.
@@ -48,9 +41,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import sys
-import time
 from typing import Sequence
 
 from .bench import (
@@ -58,20 +49,9 @@ from .bench import (
     Fig10bConfig,
     Fig10cConfig,
     Fig11Config,
-    DEFAULT_TIME_THRESHOLD_PCT,
     QUERY_BUILDERS,
-    TIERS,
-    TIME_UNITS,
-    compare_ledgers,
-    discover_benchmarks,
-    format_compare,
     format_series,
     format_table,
-    new_run_id,
-    read_ledger,
-    run_benchmarks,
-    section_series,
-    summarize_ledger,
     write_csv,
     run_fig10a,
     run_fig10b,
@@ -204,56 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="check every record against the event schema"
     )
     validate.add_argument("paths", nargs="+", metavar="path")
-
-    bench = commands.add_parser(
-        "bench", help="run benchmarks, diff the perf ledger, inspect the "
-        "trajectory"
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-    bench_run = bench_commands.add_parser(
-        "run", help="execute benchmarks/bench_*.py, appending ledger rows"
-    )
-    bench_run.add_argument("--benchmarks", default="benchmarks",
-                           help="directory holding bench_*.py files")
-    bench_run.add_argument("--tier", default="full", choices=sorted(TIERS),
-                           help="named subset (smoke = CI-speed families)")
-    bench_run.add_argument("--only", nargs="+", default=None, metavar="FAMILY",
-                           help="run exactly these families (e.g. kernels "
-                           "warm); overrides --tier")
-    bench_run.add_argument("--ledger", default="BENCH_ledger.jsonl",
-                           help="JSONL ledger rows are appended to")
-    bench_run.add_argument("--scale", type=float, default=None,
-                           help="REPRO_BENCH_SCALE exported to the benchmarks")
-    bench_run.add_argument("--run-id", default=None,
-                           help="run id stamped on every row (default: derived)")
-    bench_compare = bench_commands.add_parser(
-        "compare", help="diff the ledger against a baseline; exit 1 on a "
-        "gated regression beyond the threshold"
-    )
-    bench_compare.add_argument("--ledger", default="BENCH_ledger.jsonl",
-                               help="current ledger (the bench run output)")
-    bench_compare.add_argument("--baseline",
-                               default=os.path.join("benchmarks",
-                                                    "BASELINE.jsonl"),
-                               help="committed baseline ledger")
-    bench_compare.add_argument("--threshold", type=float, default=10.0,
-                               help="gated sections may move this many "
-                               "percent before failing (strictly more "
-                               "than; default 10)")
-    bench_compare.add_argument("--time-threshold", type=float,
-                               default=DEFAULT_TIME_THRESHOLD_PCT,
-                               help="noise floor for wall-clock sections "
-                               "(percent) — run-to-run scheduler noise on "
-                               "shared runners makes a tight wall-time "
-                               "gate pure flake (default "
-                               f"{DEFAULT_TIME_THRESHOLD_PCT:g})")
-    bench_ledger = bench_commands.add_parser(
-        "ledger", help="summarize the measured trajectory across runs"
-    )
-    bench_ledger.add_argument("--ledger", default="BENCH_ledger.jsonl")
-    bench_ledger.add_argument("--section", default=None, metavar="BENCH/SECTION",
-                              help="print one section's value across every "
-                              "run (e.g. kernels/count_violations_batch[2000])")
 
     generate = commands.add_parser(
         "generate", help="persist a hard instance to a directory"
@@ -458,7 +388,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "fig11": _cmd_fig11,
         "solve": _cmd_solve,
         "trace": _cmd_trace,
-        "bench": _cmd_bench,
         "generate": _cmd_generate,
         "rerun": _cmd_rerun,
         "serve": _cmd_serve,
@@ -723,118 +652,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             [list(item) for item in metrics["counters"].items()],
         ))
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    return {
-        "run": _cmd_bench_run,
-        "compare": _cmd_bench_compare,
-        "ledger": _cmd_bench_ledger,
-    }[args.bench_command](args)
-
-
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    try:
-        files = discover_benchmarks(
-            args.benchmarks, tier=args.tier, only=args.only
-        )
-    except (OSError, ValueError) as error:
-        print(f"benchmark discovery failed: {error}", file=sys.stderr)
-        return 2
-    run_id = args.run_id or new_run_id()
-    print(f"bench run {run_id}: {len(files)} file(s) -> {args.ledger}"
-          + (f" (scale {args.scale:g})" if args.scale is not None else ""),
-          flush=True)
-    outcomes = run_benchmarks(
-        files, ledger=args.ledger, run_id=run_id, scale=args.scale
-    )
-    failed = [outcome for outcome in outcomes if not outcome.ok]
-    for outcome in outcomes:
-        status = "ok" if outcome.ok else f"FAILED (exit {outcome.returncode})"
-        print(f"  {outcome.family}: {status}")
-    if failed:
-        print(f"{len(failed)} benchmark file(s) failed", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    for label, path in (("baseline", args.baseline), ("ledger", args.ledger)):
-        if not os.path.exists(path):
-            print(f"{label} not found: {path}"
-                  + ("\nrun `repro bench run` first to produce a ledger"
-                     if label == "ledger" else
-                     "\ncommit a baseline with `repro bench run --ledger "
-                     f"{args.baseline}`"),
-                  file=sys.stderr)
-            return 2
-    try:
-        baseline = read_ledger(args.baseline)
-        current = read_ledger(args.ledger)
-    except ValueError as error:
-        print(f"invalid ledger: {error}", file=sys.stderr)
-        return 2
-    result = compare_ledgers(
-        baseline, current,
-        threshold_pct=args.threshold,
-        time_threshold_pct=args.time_threshold,
-    )
-    print(format_compare(result))
-    if result.failed:
-        for entry in result.regressions:
-            gate = (result.time_threshold_pct if entry.unit in TIME_UNITS
-                    else result.threshold_pct)
-            print(f"REGRESSION: {entry.bench}/{entry.section} "
-                  f"{entry.baseline:.6g} -> {entry.current:.6g} {entry.unit} "
-                  f"({entry.delta_pct:+.1f}%, better={entry.better}, "
-                  f"threshold {gate:g}%)", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_ledger(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.ledger):
-        print(f"ledger not found: {args.ledger}", file=sys.stderr)
-        return 2
-    try:
-        rows = read_ledger(args.ledger)
-    except ValueError as error:
-        print(f"invalid ledger: {error}", file=sys.stderr)
-        return 2
-    if args.section is not None:
-        bench, separator, section = args.section.partition("/")
-        if not separator:
-            print("--section expects BENCH/SECTION "
-                  "(e.g. kernels/count_violations_batch[5000])", file=sys.stderr)
-            return 2
-        series = section_series(rows, bench, section)
-        if not series:
-            print(f"no rows for {bench}/{section} in {args.ledger}",
-                  file=sys.stderr)
-            return 2
-        print(format_table(
-            f"trajectory — {bench}/{section}",
-            ["run", "commit", "when", "value", "unit"],
-            [[point["run_id"], point["commit"] or "-",
-              _ledger_when(point["ts"]), point["value"], point["unit"]]
-             for point in series],
-            precision=6,
-        ))
-        return 0
-    summaries = summarize_ledger(rows)
-    print(format_table(
-        f"perf trajectory — {len(rows)} row(s), {len(summaries)} run(s)",
-        ["run", "commit", "when", "scale", "benches", "rows"],
-        [[summary["run_id"], summary["commit"] or "-",
-          _ledger_when(summary["ts"]), summary["scale"],
-          ",".join(summary["benches"]), summary["rows"]]
-         for summary in summaries],
-    ))
-    return 0
-
-
-def _ledger_when(ts: float) -> str:
-    return time.strftime("%Y-%m-%d %H:%M", time.localtime(ts))
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:

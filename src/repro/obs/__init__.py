@@ -16,7 +16,8 @@ one::
 By default the ambient observation is the shared no-op singleton: ``span``
 returns a cached null span, ``counter`` a null counter, and ``event`` does
 nothing, so instrumentation costs a handful of attribute lookups when
-nobody is watching (benchmarked <2 % — see ``benchmarks/bench_obs_overhead``).
+nobody is watching (what turning it on costs is ``BENCHMARK.json``'s
+``obs.traced_overhead_pct``).
 Drivers opt in with::
 
     with observe(Observation(sink=JsonlSink("trace.jsonl"))) as obs:

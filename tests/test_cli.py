@@ -282,170 +282,3 @@ class TestCsvExport:
         content = path.read_text()
         assert content.startswith("query,n,density")
         assert "chain,3," in content
-
-
-class TestBenchCommands:
-    """The ``repro bench run|compare|ledger`` family (exit-code contract)."""
-
-    @staticmethod
-    def write_ledger(path, values, *, scale=1.0, run_id="r1", unit="s",
-                     better="lower"):
-        """One gated row per (section, value) pair, schema-complete."""
-        from repro.bench.ledger import LEDGER_VERSION, LedgerWriter
-        from repro.bench.ledger import environment_fingerprint
-
-        env = dict(environment_fingerprint(), scale=scale)
-        with LedgerWriter(str(path)) as writer:
-            for section, value in values.items():
-                writer.write({
-                    "v": LEDGER_VERSION, "run_id": run_id, "ts": 1.0,
-                    "commit": "abc1234", "bench": "demo", "section": section,
-                    "value": value, "unit": unit, "better": better,
-                    "env": env,
-                })
-        return str(path)
-
-    def test_bench_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench"])
-
-    def test_bench_run_defaults(self):
-        args = build_parser().parse_args(["bench", "run"])
-        assert args.tier == "full"
-        assert args.benchmarks == "benchmarks"
-        assert args.ledger == "BENCH_ledger.jsonl"
-        assert args.scale is None
-
-    def test_bench_compare_defaults(self):
-        from repro.bench import DEFAULT_TIME_THRESHOLD_PCT
-
-        args = build_parser().parse_args(["bench", "compare"])
-        assert args.baseline == "benchmarks/BASELINE.jsonl"
-        assert args.threshold == 10.0
-        assert args.time_threshold == DEFAULT_TIME_THRESHOLD_PCT
-
-    def test_bench_run_unknown_tier_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "run", "--tier", "warp"])
-
-    def test_bench_run_unknown_family_exits_2(self, tmp_path, capsys):
-        assert main([
-            "bench", "run", "--benchmarks", "benchmarks",
-            "--only", "nonexistent_family",
-            "--ledger", str(tmp_path / "led.jsonl"),
-        ]) == 2
-        assert "discovery failed" in capsys.readouterr().err
-
-    def test_bench_compare_identical_exits_0(self, tmp_path, capsys):
-        ledger = self.write_ledger(tmp_path / "led.jsonl", {"hot": 1.0})
-        assert main(["bench", "compare", "--ledger", ledger,
-                     "--baseline", ledger]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-
-    def test_bench_compare_doctored_regression_exits_1(self, tmp_path, capsys):
-        # the acceptance check: a synthetically injected regression on a
-        # gated section must fail the gate — a >10% drop on a stable
-        # dimensionless section (speedup ratio)
-        baseline = self.write_ledger(tmp_path / "base.jsonl",
-                                     {"hot": 4.0, "cold": 2.0},
-                                     unit="x", better="higher")
-        doctored = self.write_ledger(tmp_path / "cur.jsonl",
-                                     {"hot": 3.0, "cold": 2.0},
-                                     unit="x", better="higher", run_id="r2")
-        assert main(["bench", "compare", "--ledger", doctored,
-                     "--baseline", baseline]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSED" in captured.out
-        assert "REGRESSION: demo/hot" in captured.err
-        assert "-25.0%" in captured.err
-
-    def test_bench_compare_doctored_time_blowup_exits_1(self, tmp_path, capsys):
-        # wall-clock sections gate at the looser noise floor: a 3x
-        # slowdown (vectorized path falling back to scalar) must fail
-        baseline = self.write_ledger(tmp_path / "base.jsonl", {"hot": 0.01})
-        doctored = self.write_ledger(tmp_path / "cur.jsonl", {"hot": 0.03},
-                                     run_id="r2")
-        assert main(["bench", "compare", "--ledger", doctored,
-                     "--baseline", baseline]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION: demo/hot" in captured.err
-        assert "+200.0%" in captured.err
-
-    def test_bench_compare_time_noise_within_floor_exits_0(self, tmp_path):
-        # +25% on a wall-clock section is runner noise, not a regression
-        baseline = self.write_ledger(tmp_path / "base.jsonl", {"hot": 1.0})
-        current = self.write_ledger(tmp_path / "cur.jsonl", {"hot": 1.25},
-                                    run_id="r2")
-        assert main(["bench", "compare", "--ledger", current,
-                     "--baseline", baseline]) == 0
-
-    def test_bench_compare_respects_threshold_flag(self, tmp_path):
-        baseline = self.write_ledger(tmp_path / "base.jsonl", {"hot": 1.0},
-                                     unit="violations")
-        current = self.write_ledger(tmp_path / "cur.jsonl", {"hot": 1.25},
-                                    unit="violations", run_id="r2")
-        assert main(["bench", "compare", "--ledger", current,
-                     "--baseline", baseline]) == 1
-        assert main(["bench", "compare", "--ledger", current,
-                     "--baseline", baseline, "--threshold", "30"]) == 0
-
-    def test_bench_compare_respects_time_threshold_flag(self, tmp_path):
-        baseline = self.write_ledger(tmp_path / "base.jsonl", {"hot": 1.0})
-        current = self.write_ledger(tmp_path / "cur.jsonl", {"hot": 1.25},
-                                    run_id="r2")
-        assert main(["bench", "compare", "--ledger", current,
-                     "--baseline", baseline, "--time-threshold", "20"]) == 1
-
-    def test_bench_compare_new_and_removed_exit_0(self, tmp_path, capsys):
-        baseline = self.write_ledger(tmp_path / "base.jsonl", {"old": 1.0})
-        current = self.write_ledger(tmp_path / "cur.jsonl", {"fresh": 1.0},
-                                    run_id="r2")
-        assert main(["bench", "compare", "--ledger", current,
-                     "--baseline", baseline]) == 0
-        out = capsys.readouterr().out
-        assert "new" in out and "removed" in out
-
-    def test_bench_compare_scale_mismatch_skipped(self, tmp_path, capsys):
-        baseline = self.write_ledger(tmp_path / "base.jsonl", {"hot": 1.0})
-        current = self.write_ledger(tmp_path / "cur.jsonl", {"hot": 9.0},
-                                    scale=0.5, run_id="r2")
-        assert main(["bench", "compare", "--ledger", current,
-                     "--baseline", baseline]) == 0
-        assert "skipped" in capsys.readouterr().out
-
-    def test_bench_compare_missing_baseline_exits_2(self, tmp_path, capsys):
-        ledger = self.write_ledger(tmp_path / "led.jsonl", {"hot": 1.0})
-        assert main(["bench", "compare", "--ledger", ledger,
-                     "--baseline", str(tmp_path / "missing.jsonl")]) == 2
-        assert "baseline not found" in capsys.readouterr().err
-
-    def test_bench_compare_invalid_ledger_exits_2(self, tmp_path, capsys):
-        ledger = self.write_ledger(tmp_path / "led.jsonl", {"hot": 1.0})
-        broken = tmp_path / "broken.jsonl"
-        broken.write_text('{"v": 99}\n')
-        assert main(["bench", "compare", "--ledger", str(broken),
-                     "--baseline", ledger]) == 2
-        assert "invalid ledger" in capsys.readouterr().err
-
-    def test_bench_ledger_summary_and_series(self, tmp_path, capsys):
-        path = tmp_path / "led.jsonl"
-        self.write_ledger(path, {"hot": 1.0})
-        assert main(["bench", "ledger", "--ledger", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "perf trajectory" in out and "demo" in out
-
-        assert main(["bench", "ledger", "--ledger", str(path),
-                     "--section", "demo/hot"]) == 0
-        assert "trajectory — demo/hot" in capsys.readouterr().out
-
-    def test_bench_ledger_bad_section_spec_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "led.jsonl"
-        self.write_ledger(path, {"hot": 1.0})
-        assert main(["bench", "ledger", "--ledger", str(path),
-                     "--section", "no-slash"]) == 2
-        assert "BENCH/SECTION" in capsys.readouterr().err
-
-    def test_bench_ledger_missing_file_exits_2(self, tmp_path, capsys):
-        assert main(["bench", "ledger",
-                     "--ledger", str(tmp_path / "nope.jsonl")]) == 2
-        assert "not found" in capsys.readouterr().err

@@ -1,13 +1,11 @@
-"""Perf-trajectory ledger tests: schema, round-trip, emit, compare gating.
+"""Benchmark ledger tests: schema, round-trip, emit.
 
 The ledger (:mod:`repro.bench.ledger`) mirrors the obs event schema's
 strictness — these tests pin the validation contract (version, typed
 fields, bool rejection, timer monotonicity), the JSONL round-trip with
-per-line error context, :func:`emit_sections`'s stamping (run id, commit,
-env fingerprint, obs metric snapshot with solve-latency percentiles), and
-every classification ``repro bench compare`` can produce: ok at exactly
-the threshold, regressed strictly above it, improved, new/removed,
-scale/host skips, and untracked rows that never gate.
+per-line error context, and :func:`emit_sections`'s stamping (run id,
+commit, env fingerprint, obs metric snapshot with solve-latency
+percentiles).
 """
 
 from __future__ import annotations
@@ -16,22 +14,14 @@ import json
 
 import pytest
 
-from repro.bench.compare import (
-    compare_ledgers,
-    format_compare,
-    latest_rows,
-    section_series,
-    summarize_ledger,
-)
 from repro.bench.ledger import (
+    DEFAULT_LEDGER_NAME,
     LEDGER_VERSION,
     LEDGER_PATH_ENV,
-    RUN_ID_ENV,
     LedgerWriter,
     emit_sections,
     environment_fingerprint,
     git_commit,
-    new_run_id,
     read_ledger,
     timer_stats,
     validate_row,
@@ -152,7 +142,7 @@ def test_read_ledger_skips_blank_lines(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# timer_stats / fingerprint / run ids
+# timer_stats / fingerprint / commit
 # ----------------------------------------------------------------------
 def test_timer_stats():
     stats = timer_stats([3.0, 1.0, 2.0])
@@ -168,13 +158,6 @@ def test_environment_fingerprint_reads_scale(monkeypatch):
     assert set(env) >= {"python", "numpy", "platform", "machine"}
 
 
-def test_new_run_id_prefers_env(monkeypatch):
-    monkeypatch.setenv(RUN_ID_ENV, "shared-run")
-    assert new_run_id() == "shared-run"
-    monkeypatch.delenv(RUN_ID_ENV)
-    assert new_run_id() != "shared-run"
-
-
 def test_git_commit_none_outside_repo(tmp_path):
     assert git_commit(cwd=str(tmp_path)) is None
 
@@ -184,24 +167,20 @@ def test_git_commit_none_outside_repo(tmp_path):
 # ----------------------------------------------------------------------
 def test_emit_sections_stamps_and_appends(tmp_path, monkeypatch):
     ledger = tmp_path / "led.jsonl"
-    legacy = tmp_path / "BENCH_demo.json"
     monkeypatch.setenv(LEDGER_PATH_ENV, str(ledger))
-    monkeypatch.setenv(RUN_ID_ENV, "run-a")
     rows = emit_sections("demo", [
         {"section": "alpha", "value": 1.5, "unit": "s", "better": "lower",
          "timer": {"repeats": 3, "p50": 1.6, "min": 1.5}},
         {"section": "beta", "value": 2.0, "unit": "x"},
-    ], legacy_path=str(legacy))
+    ])
     stored = read_ledger(str(ledger))
     assert stored == rows
     assert [r["section"] for r in stored] == ["alpha", "beta"]
-    assert all(r["run_id"] == "run-a" for r in stored)
+    assert stored[0]["run_id"] and stored[0]["run_id"] == stored[1]["run_id"]
     assert all(r["bench"] == "demo" for r in stored)
     assert stored[0]["env"]["python"] == environment_fingerprint()["python"]
-    assert stored[1]["better"] is None  # default: tracked, not gated
+    assert stored[1]["better"] is None  # default: informational
     assert "timer" not in stored[1]
-    legacy_payload = json.loads(legacy.read_text())
-    assert [s["section"] for s in legacy_payload["sections"]] == ["alpha", "beta"]
 
 
 def test_emit_sections_attaches_obs_snapshot_with_latency(tmp_path, monkeypatch):
@@ -237,172 +216,8 @@ def test_emit_sections_without_observation_has_no_metrics(tmp_path, monkeypatch)
     assert "metrics" not in rows[0]
 
 
-def test_emit_sections_defaults_ledger_next_to_legacy(tmp_path, monkeypatch):
+def test_emit_sections_defaults_ledger_to_working_directory(tmp_path, monkeypatch):
     monkeypatch.delenv(LEDGER_PATH_ENV, raising=False)
-    legacy = tmp_path / "BENCH_demo.json"
-    emit_sections("demo", [{"section": "a", "value": 1, "unit": "s"}],
-                  legacy_path=str(legacy))
-    assert (tmp_path / "BENCH_ledger.jsonl").exists()
-
-
-# ----------------------------------------------------------------------
-# compare: classification and gating
-# ----------------------------------------------------------------------
-def rows_for(value, *, section="hot", better="lower", unit="s", env=None,
-             run_id="r1", ts=1.0):
-    return [make_row(section=section, value=value, better=better, unit=unit,
-                     env=env or make_row()["env"], run_id=run_id, ts=ts)]
-
-
-def test_compare_identical_ledgers_all_ok():
-    rows = rows_for(1.0)
-    result = compare_ledgers(rows, rows)
-    assert [e.status for e in result.entries] == ["ok"]
-    assert not result.failed
-
-
-def test_compare_flags_regression_strictly_above_threshold():
-    # a stable (non-time) unit gates at the tight threshold
-    result = compare_ledgers(rows_for(1.0, unit="violations"),
-                             rows_for(1.101, unit="violations"),
-                             threshold_pct=10.0)
-    assert result.failed
-    entry = result.entries[0]
-    assert entry.status == "regressed"
-    assert entry.delta_pct == pytest.approx(10.1)
-    assert "REGRESSED" in format_compare(result)
-
-
-def test_compare_exactly_at_threshold_passes():
-    result = compare_ledgers(rows_for(10.0, unit="violations"),
-                             rows_for(11.0, unit="violations"),
-                             threshold_pct=10.0)
-    assert [e.status for e in result.entries] == ["ok"]
-    assert not result.failed
-
-
-def test_compare_improvement_is_informational():
-    result = compare_ledgers(rows_for(1.0, unit="violations"),
-                             rows_for(0.5, unit="violations"))
-    assert [e.status for e in result.entries] == ["improved"]
-    assert not result.failed
-
-
-def test_compare_time_units_gate_at_the_noise_floor():
-    """Wall-clock rows tolerate scheduler noise, still catch blow-ups."""
-    # +30% on a timing: within the 75% noise floor, passes
-    noisy = compare_ledgers(rows_for(1.0), rows_for(1.3))
-    assert [e.status for e in noisy.entries] == ["ok"]
-    # a 3x blow-up (vectorized path falling back to scalar): fails
-    blown = compare_ledgers(rows_for(1.0), rows_for(3.0))
-    assert [e.status for e in blown.entries] == ["regressed"]
-    assert blown.failed
-    # the floor is a parameter — tighten it and +30% regresses
-    tight = compare_ledgers(rows_for(1.0), rows_for(1.3),
-                            time_threshold_pct=20.0)
-    assert [e.status for e in tight.entries] == ["regressed"]
-
-
-def test_compare_higher_is_better_direction():
-    # a speedup dropping 20% regresses; rising 20% improves
-    slower = compare_ledgers(rows_for(10.0, better="higher", unit="x"),
-                             rows_for(8.0, better="higher", unit="x"))
-    assert slower.entries[0].status == "regressed"
-    faster = compare_ledgers(rows_for(10.0, better="higher", unit="x"),
-                             rows_for(12.0, better="higher", unit="x"))
-    assert faster.entries[0].status == "improved"
-
-
-def test_compare_untracked_rows_never_gate():
-    result = compare_ledgers(rows_for(1.0, better=None),
-                             rows_for(99.0, better=None))
-    assert [e.status for e in result.entries] == ["untracked"]
-    assert not result.failed
-
-
-def test_compare_new_and_removed_sections():
-    base = rows_for(1.0, section="old")
-    cur = rows_for(2.0, section="brand_new")
-    result = compare_ledgers(base, cur)
-    statuses = {e.section: e.status for e in result.entries}
-    assert statuses == {"old": "removed", "brand_new": "new"}
-    assert not result.failed
-
-
-def test_compare_skips_on_scale_mismatch():
-    env_small = dict(make_row()["env"], scale=0.1)
-    result = compare_ledgers(rows_for(1.0), rows_for(9.0, env=env_small))
-    assert [e.status for e in result.entries] == ["skipped"]
-    assert not result.failed
-
-
-def test_compare_skips_absolute_time_across_hosts_but_not_ratios():
-    other_host = dict(make_row()["env"], machine="arm64")
-    timed = compare_ledgers(rows_for(1.0), rows_for(9.0, env=other_host))
-    assert [e.status for e in timed.entries] == ["skipped"]
-    # dimensionless speedups stay comparable across machines
-    ratio = compare_ledgers(
-        rows_for(10.0, better="higher", unit="x"),
-        rows_for(5.0, better="higher", unit="x", env=other_host),
-    )
-    assert [e.status for e in ratio.entries] == ["regressed"]
-
-
-def test_compare_zero_baseline_counts_as_infinite_regression():
-    result = compare_ledgers(rows_for(0.0), rows_for(1.0))
-    assert result.entries[0].delta_pct == float("inf")
-    assert result.entries[0].status == "regressed"
-
-
-def test_compare_rejects_negative_thresholds():
-    with pytest.raises(ValueError):
-        compare_ledgers([], [], threshold_pct=-1.0)
-    with pytest.raises(ValueError):
-        compare_ledgers([], [], time_threshold_pct=-1.0)
-
-
-def test_latest_rows_last_wins():
-    early = make_row(value=1.0, ts=1.0)
-    late = make_row(value=2.0, ts=2.0)
-    latest = latest_rows([early, late])
-    assert latest[("kernels", early["section"])]["value"] == 2.0
-
-
-def test_non_monotonic_repeats_across_runs_compare_on_latest():
-    """A section re-measured in later runs gates on its newest row only."""
-    base = rows_for(1.0)
-    current = (
-        rows_for(5.0, run_id="r2", ts=2.0)      # noisy early run
-        + rows_for(1.02, run_id="r3", ts=3.0)   # latest: fine
-    )
-    result = compare_ledgers(base, current)
-    assert [e.status for e in result.entries] == ["ok"]
-
-
-# ----------------------------------------------------------------------
-# trajectory summaries
-# ----------------------------------------------------------------------
-def test_summarize_ledger_groups_by_run_in_file_order():
-    rows = (
-        rows_for(1.0, run_id="r1", ts=10.0)
-        + rows_for(2.0, section="other", run_id="r1", ts=5.0)
-        + rows_for(3.0, run_id="r2", ts=20.0)
-    )
-    summaries = summarize_ledger(rows)
-    assert [s["run_id"] for s in summaries] == ["r1", "r2"]
-    assert summaries[0]["rows"] == 2
-    assert summaries[0]["ts"] == 5.0  # earliest timestamp of the run
-    assert summaries[0]["benches"] == ["kernels"]
-    assert summaries[0]["scale"] == 1.0
-
-
-def test_section_series_tracks_one_metric():
-    rows = (
-        rows_for(1.0, run_id="r1", ts=1.0)
-        + rows_for(1.2, run_id="r2", ts=2.0)
-        + rows_for(9.9, section="other", run_id="r2", ts=2.0)
-    )
-    series = section_series(rows, "kernels", "hot")
-    assert [(p["run_id"], p["value"]) for p in series] == [
-        ("r1", 1.0), ("r2", 1.2),
-    ]
+    monkeypatch.chdir(tmp_path)
+    emit_sections("demo", [{"section": "a", "value": 1, "unit": "s"}])
+    assert len(read_ledger(str(tmp_path / DEFAULT_LEDGER_NAME))) == 1

@@ -1055,7 +1055,7 @@ def test_rl013_sabotage_undeclared_site_literal(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# RL014 — benchmark results must go through the perf ledger
+# RL014 — benchmark results must go through the benchmark ledger
 # ----------------------------------------------------------------------
 RL014_GOOD = """
 from repro.bench.ledger import emit_sections
@@ -1064,17 +1064,17 @@ def flush(results):
     emit_sections("demo", [
         {"section": "hot", "value": results["hot"], "unit": "s",
          "better": "lower"},
-    ], legacy_path="BENCH_demo.json")
+    ])
 """
 
 RL014_BAD = """
 import json
-from repro.bench import write_json
 
 def flush(results):
-    with open("BENCH_demo.json", "w") as handle:
+    with open("demo.json", "w") as handle:
         json.dump(results, handle)
-    write_json("BENCH_demo2.json", results)
+    with open("demo2.json", "w") as handle:
+        json.dump({"sections": results}, handle, indent=2)
 """
 
 BENCH_PATH = "benchmarks/bench_demo.py"
@@ -1090,13 +1090,12 @@ def test_rl014_bad():
     assert rules_of(findings) == {"RL014"}
     messages = " | ".join(finding.message for finding in findings)
     assert "json.dump" in messages
-    assert "write_json" in messages
-    assert all("perf ledger" in finding.message for finding in findings)
+    assert all("benchmark ledger" in finding.message for finding in findings)
 
 
 def test_rl014_only_applies_to_benchmarks():
-    # write_json's own definition (and any src/ caller) is out of scope —
-    # the rule polices the benchmark emitters, not the reporting module
+    # src/ callers of json.dump are out of scope — the rule polices the
+    # benchmark emitters, not the reporting module
     assert not lint(RL014_BAD, path=CORE_PATH, select=["RL014"])
     assert not lint(RL014_BAD, path="src/repro/bench/reporting.py",
                     select=["RL014"])
@@ -1112,14 +1111,14 @@ def test_rl014_real_benchmarks_are_clean():
 
 def test_rl014_sabotage_raw_writer_in_real_bench():
     """Bypassing the ledger in a real benchmark file must trip RL014."""
-    bench = (REPO_ROOT / "benchmarks/bench_kernels.py").read_text()
-    sabotaged = bench.replace("emit_sections(", "write_json(")
+    bench = (REPO_ROOT / "benchmarks/bench_faults.py").read_text()
+    sabotaged = bench.replace("emit_sections(", "json.dump(")
     assert sabotaged != bench, "bench no longer matches expected shape"
     findings = lint_source(
-        sabotaged, path="benchmarks/bench_kernels.py", select=["RL014"]
+        sabotaged, path="benchmarks/bench_faults.py", select=["RL014"]
     )
     assert rules_of(findings) == {"RL014"}
-    assert "write_json" in findings[0].message
+    assert "json.dump" in findings[0].message
 
 
 # ----------------------------------------------------------------------

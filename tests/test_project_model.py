@@ -36,7 +36,7 @@ def build(files: dict[str, str]) -> ProjectModel:
 def test_module_name_for_path():
     assert module_name_for_path("src/repro/service/server.py") == "repro.service.server"
     assert module_name_for_path("src/repro/warm/__init__.py") == "repro.warm"
-    assert module_name_for_path("benchmarks/bench_kernels.py") == "benchmarks.bench_kernels"
+    assert module_name_for_path("benchmarks/bench_rtree.py") == "benchmarks.bench_rtree"
     assert module_name_for_path("tests/test_lint.py") == "tests.test_lint"
 
 

@@ -362,6 +362,23 @@ class TestWarmStarts:
         )
         assert result.best_violations <= incumbent.best_violations
 
+    def test_warm_start_quality_at_fixed_budget(self):
+        # same seed, same iteration budget: on this instance a warm start
+        # ends no worse than the cold run, nor than its incumbent
+        instance = hard_instance(QueryGraph.chain(5), cardinality=400, seed=7)
+
+        def solve(seed, warm_start=None):
+            return parallel_restarts(
+                instance, Budget(max_iterations=60), seed=seed,
+                heuristic="gils", restarts=1, workers=1, warm_start=warm_start,
+            )
+
+        incumbent = solve(seed=11)
+        cold = solve(seed=3)
+        warm = solve(seed=3, warm_start=incumbent.best_assignment)
+        assert warm.best_violations <= cold.best_violations
+        assert warm.best_violations <= incumbent.best_violations
+
     def test_exact_warm_start_short_circuits(self):
         rects = [Rect(0.1, 0.1, 0.4, 0.4), Rect(0.6, 0.6, 0.9, 0.9)]
         instance = ProblemInstance(
