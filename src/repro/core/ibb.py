@@ -2,9 +2,10 @@
 
 A Window-Reduction [PMT99] variant that retrieves the *best* (not only
 exact) solutions: variables are instantiated depth-first; candidate values
-for each variable are enumerated through index window queries in decreasing
-order of the number of join conditions they satisfy with respect to the
-already-instantiated variables; a partial solution is abandoned only when
+for each variable are enumerated through index window queries (all windows
+of a candidate list in one descent) in decreasing order of the number of
+join conditions they satisfy with respect to the already-instantiated
+variables; a partial solution is abandoned only when
 its accumulated violations can no longer lead to a solution strictly better
 than the incumbent (optimistically assuming zero future violations).
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..index.queries import search_predicate
+from ..index.queries import search_windows
 from ..index.stats import index_work_since, node_reads_probe, snapshot_trees
 from ..obs import current
 from ..query import ProblemInstance
@@ -26,7 +27,7 @@ from .budget import Budget
 from .evaluator import QueryEvaluator
 from .result import RunResult
 
-__all__ = ["IBBConfig", "indexed_branch_and_bound", "connectivity_order"]
+__all__ = ["IBBConfig", "indexed_branch_and_bound", "connectivity_order", "neighbors_earlier_in"]
 
 
 @dataclass
@@ -95,16 +96,7 @@ def indexed_branch_and_bound(
     exhausted_cleanly = True
     values = [0] * num_variables
 
-    # instantiated neighbors of order[d] that come earlier in the order
-    earlier_neighbors = []
-    position_of = {variable: depth for depth, variable in enumerate(order)}
-    for variable in order:
-        earlier = [
-            (j, predicate)
-            for j, predicate in evaluator.neighbors[variable]
-            if position_of[j] < position_of[variable]
-        ]
-        earlier_neighbors.append(earlier)
+    earlier_neighbors = neighbors_earlier_in(order, evaluator)
 
     def record_incumbent(violations: int) -> None:
         nonlocal incumbent_violations, incumbent_values
@@ -181,33 +173,46 @@ def _candidates(evaluator, variable, edges, values):
 
     Yields ``(object_id, satisfied)`` in decreasing ``satisfied`` order,
     where ``satisfied`` counts the conditions held against the instantiated
-    neighbors in ``edges``.  Counts come from one index window query per
-    edge; objects matching no window form the implicit 0-bucket and are
-    enumerated last (they are reached only when the bound still allows
-    ``len(edges)`` extra violations).
+    neighbors in ``edges``.  Counts come from one multi-window descent that
+    is charged as one index window query per edge; objects matching no
+    window form the implicit 0-bucket and are enumerated last (they are
+    reached only when the bound still allows ``len(edges)`` extra violations).
     """
     dataset_size = len(evaluator.rects[variable])
     if not edges:
         for object_id in range(dataset_size):
             yield object_id, 0
         return
-    counts: dict[int, int] = {}
-    tree = evaluator.trees[variable]
     rects = evaluator.rects
-    for j, predicate in edges:
-        window = rects[j][values[j]]
-        for _rect, item in search_predicate(tree, predicate, window):
-            counts[item] = counts.get(item, 0) + 1
-    buckets: dict[int, list[int]] = {}
-    for object_id, satisfied in counts.items():
-        buckets.setdefault(satisfied, []).append(object_id)
+    items, counts = search_windows(
+        evaluator.trees[variable],
+        [(predicate, rects[j][values[j]]) for j, predicate in edges],
+    )
+    buckets: list[list[int]] = [[] for _ in range(len(edges) + 1)]
+    for object_id, satisfied in zip(items, counts):
+        buckets[satisfied].append(object_id)
     for satisfied in range(len(edges), 0, -1):
-        for object_id in sorted(buckets.get(satisfied, ())):
+        for object_id in sorted(buckets[satisfied]):
             yield object_id, satisfied
-    # 0-bucket: everything the window queries never saw
+    # 0-bucket: everything the windows never hit
+    seen = set(items)
     for object_id in range(dataset_size):
-        if object_id not in counts:
+        if object_id not in seen:
             yield object_id, 0
+
+
+def neighbors_earlier_in(order: list[int], evaluator: QueryEvaluator) -> list[list[tuple]]:
+    """Per depth ``d``: the ``(j, predicate)`` join partners of ``order[d]``
+    that come before it in ``order`` — instantiated when it gets its value."""
+    position_of = {variable: depth for depth, variable in enumerate(order)}
+    return [
+        [
+            (j, predicate)
+            for j, predicate in evaluator.neighbors[variable]
+            if position_of[j] < position_of[variable]
+        ]
+        for variable in order
+    ]
 
 
 def connectivity_order(evaluator: QueryEvaluator) -> list[int]:

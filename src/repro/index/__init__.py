@@ -10,6 +10,7 @@ from .queries import (
     search,
     search_items,
     search_predicate,
+    search_windows,
 )
 from .stats import TreeStats
 from .buffer import BufferPool
@@ -29,6 +30,7 @@ __all__ = [
     "search",
     "search_items",
     "search_predicate",
+    "search_windows",
     "count",
     "nearest_neighbors",
     "TreeStats",

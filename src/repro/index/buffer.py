@@ -16,9 +16,11 @@ Usage::
     print(pool.misses, pool.hit_ratio())
 
 A single pool may be shared by several trees (a common buffer, the usual
-DBMS setup): the packed-array traversals name a page ``(id(packed), node
-index)``, the node-walking ones ``id(node)``, so pages of distinct trees
-never alias.
+DBMS setup): every reader of the packed arrays — window queries,
+``find_best_value``, synchronous traversal, the pairwise join — names a page
+``(id(packed), node index)``, so pages of distinct trees never alias and a
+node touched by two readers is one page (k-NN, which still walks the node
+graph, names ``id(node)``).
 """
 
 from __future__ import annotations

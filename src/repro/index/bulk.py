@@ -166,15 +166,12 @@ def tree_from_packed(
     node_offsets: np.ndarray,
     node_levels: np.ndarray,
     meta: Sequence[int],
-    item_bounds: Sequence[Rect] | None = None,
 ) -> RStarTree:
     """Wrap :func:`pack_tree`'d arrays as a tree, sharing their storage.
 
     Nothing is copied or inflated: when the arrays live in shared memory the
     searches read the shared pages directly — attaching a dataset never
-    copies the index.  ``item_bounds`` (the object table, indexed by item
-    id) is kept for the node graph a later insert or node-walking join may
-    ask for: its leaf entries then reuse the caller's :class:`Rect` objects.
+    copies the index.
     """
     packed = PackedTree(entry_bounds, entry_children, node_offsets, node_levels)
-    return RStarTree.from_packed(packed, meta, item_bounds)
+    return RStarTree.from_packed(packed, meta)

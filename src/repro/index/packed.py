@@ -54,6 +54,19 @@ PREFIX_ENTRIES = 512
 _KEY_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
+def _intersects_window_keys(
+    constraints: Sequence[tuple[SpatialPredicate, Rect]]
+) -> list[float] | None:
+    """``[wxmax, wymax, −wxmin, −wymin]`` of every window, flat — or ``None``
+    unless every predicate is plain ``intersects`` (see :meth:`PackedTree.scorers`)."""
+    window_keys: list[float] = []
+    for predicate, (wxmin, wymin, wxmax, wymax) in constraints:
+        if type(predicate) is not Intersects:
+            return None
+        window_keys += (wxmax, wymax, -wxmin, -wymin)
+    return window_keys
+
+
 def bounds_keys(entry_bounds: np.ndarray) -> np.ndarray:
     """``(m, 4)`` bounds → C-contiguous ``(4, m)`` keys
     ``[xmin; ymin; −xmax; −ymax]`` (negation is exact, so this loses nothing)."""
@@ -160,13 +173,11 @@ class PackedTree:
             items,
         )
 
-    def inflate(self, item_bounds: Sequence[Rect] | None = None) -> Node:
+    def inflate(self) -> Node:
         """Build the node graph of this tree; returns its root.
 
         Each node's packed-bounds cache is pointed at its slice of
-        ``entry_bounds`` instead of a private copy.  ``item_bounds`` (the
-        object table, indexed by item id) lets leaf entries reuse the
-        caller's :class:`Rect` objects instead of constructing fresh ones.
+        ``entry_bounds`` instead of a private copy.
         """
         nodes = [Node(level=level) for level in self.levels]
         offsets, items = self.offsets, self.items
@@ -180,11 +191,7 @@ class PackedTree:
                 children = [nodes[child] for child in child_ids]
             elif items is not None:
                 children = [items[child] for child in child_ids]
-            if node.is_leaf and item_bounds is not None:
-                bounds = [item_bounds[item] for item in children]
-            else:
-                bounds = [Rect._make(row) for row in rows.tolist()]
-            node.replace_entries(bounds, children)
+            node.replace_entries([Rect._make(row) for row in rows.tolist()], children)
             # share the packed storage: a zero-copy view, not a rebuilt array
             node._bounds_array = rows
         return nodes[0]
@@ -208,6 +215,11 @@ class PackedTree:
         """The item of one leaf entry."""
         item = int(self.entry_children[position])
         return item if self.items is None else self.items[item]
+
+    def entry_items(self, positions: Any) -> list[Any]:
+        """The items of several leaf entries."""
+        items = self.entry_children[positions].tolist()
+        return items if self.items is None else [self.items[item] for item in items]
 
     def entry(self, position: int) -> tuple[Rect, Any]:
         """The ``(rect, item)`` of one leaf entry."""
@@ -240,12 +252,8 @@ class PackedTree:
         coordinate per row, so the comparison and the two reductions all run
         over contiguous entry ranges.
         """
-        window_keys: list[float] = []
-        for predicate, (wxmin, wymin, wxmax, wymax) in constraints:
-            if type(predicate) is not Intersects:
-                break
-            window_keys += (wxmax, wymax, -wxmin, -wymin)
-        else:
+        window_keys = _intersects_window_keys(constraints)
+        if window_keys is not None:
             keys = self.keys
             all_four = np.logical_and.reduce
             if len(constraints) == 1:
@@ -270,11 +278,39 @@ class PackedTree:
             lambda start, stop: inner_scorer(bounds[start:stop]),
         )
 
+    def window_hits(
+        self, constraints: Sequence[tuple[SpatialPredicate, Rect]]
+    ) -> tuple[RangeScorer, RangeScorer]:
+        """``(leaf, inner)`` hit matrices: what :meth:`scorers` sums, unsummed.
+
+        ``hits(start, stop)`` is a ``(len(constraints), stop − start)``
+        boolean matrix — row ``w`` marks the entries of the range that
+        satisfy (``leaf``) or whose subtree may satisfy (``inner``)
+        constraint ``w``.  All-``intersects`` constraint lists are one keyed
+        comparison; any other mix stacks the single-constraint scorers,
+        which go through ``test_pairs`` / ``filter_pairs``.
+        """
+        window_keys = _intersects_window_keys(constraints)
+        if window_keys is not None:
+            keys = self.keys
+            all_four = np.logical_and.reduce
+            windows = np.array(window_keys).reshape(-1, 4).T[:, :, None]
+
+            def hits(start: int, stop: int) -> np.ndarray:
+                return all_four(keys[:, None, start:stop] <= windows)
+
+            return hits, hits
+        leaves, inners = zip(*[self.scorers([constraint]) for constraint in constraints])
+        return (
+            lambda start, stop: np.array([score(start, stop) for score in leaves], dtype=bool),
+            lambda start, stop: np.array([score(start, stop) for score in inners], dtype=bool),
+        )
+
     def prefix_counts(self, leaf_score: RangeScorer, inner_score: RangeScorer) -> np.ndarray:
-        """The count of every entry of the BFS prefix."""
+        """The count (or hit-matrix column) of every entry of the BFS prefix."""
         if leaf_score is inner_score:
             return inner_score(0, self.prefix_stop)
         inner_stop = self.prefix_inner_stop
         return np.concatenate(
-            [inner_score(0, inner_stop), leaf_score(inner_stop, self.prefix_stop)]
+            [inner_score(0, inner_stop), leaf_score(inner_stop, self.prefix_stop)], axis=-1
         )

@@ -16,13 +16,13 @@ Deletion uses the classic condense-tree strategy (underfull nodes are
 dissolved and their entries reinserted at their original level).
 
 A tree has two forms.  The :class:`~repro.index.node.Node` graph is the
-write side: inserts, deletes and the node-walking joins work on it.  The
-:class:`~repro.index.packed.PackedTree` arrays are the read side: window
-queries and ``find_best_value`` descend them.  Each is derived from the
-other on demand — ``packed()`` flattens the graph on first read, ``root``
-inflates a graph for the first caller that walks nodes — and every mutator
-drops the packed form, so a bulk-loaded or warm-attached tree that is only
-read never builds a node at all.
+write side: inserts and deletes work on it (and ``validate()`` and k-NN walk
+it).  The :class:`~repro.index.packed.PackedTree` arrays are the read side:
+window queries, ``find_best_value`` and the traversal joins descend them.
+Each is derived from the other on demand — ``packed()`` flattens the graph
+on first read, ``root`` inflates a graph for the first caller that walks
+nodes — and every mutator drops the packed form, so a bulk-loaded or
+warm-attached tree that is only read never builds a node at all.
 """
 
 from __future__ import annotations
@@ -76,9 +76,6 @@ class RStarTree:
         self.reinsert_count = int(reinsert_fraction * max_entries)
         self._root: Node | None = Node(level=0)
         self._packed: PackedTree | None = None
-        #: the object table a packed tree was wrapped with; inflation reuses
-        #: its :class:`Rect` objects for the leaf entries
-        self._item_bounds: Sequence[Rect] | None = None
         self.stats = TreeStats()
         #: optional BufferPool; when set, read traversals report page accesses
         self.pager: BufferPool | None = None
@@ -88,12 +85,7 @@ class RStarTree:
         self._reinserted_levels: set[int] = set()
 
     @classmethod
-    def from_packed(
-        cls,
-        packed: PackedTree,
-        meta: Sequence[int],
-        item_bounds: Sequence[Rect] | None = None,
-    ) -> "RStarTree":
+    def from_packed(cls, packed: PackedTree, meta: Sequence[int]) -> "RStarTree":
         """Wrap packed arrays as a tree without building a single node.
 
         ``meta`` is ``(max_entries, min_entries, reinsert_count, size)``.
@@ -104,7 +96,6 @@ class RStarTree:
         tree.reinsert_count = reinsert_count
         tree._root = None
         tree._packed = packed
-        tree._item_bounds = item_bounds
         tree._size = size
         return tree
 
@@ -116,7 +107,7 @@ class RStarTree:
         """The node graph's root, inflated from the packed form if need be."""
         if self._root is None:
             assert self._packed is not None
-            self._root = self._packed.inflate(self._item_bounds)
+            self._root = self._packed.inflate()
         return self._root
 
     @root.setter

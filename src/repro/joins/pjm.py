@@ -22,12 +22,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..core.evaluator import QueryEvaluator
-from ..index.queries import search_predicate
 from ..query import ProblemInstance
 
 __all__ = ["pairwise_join_method"]
 
 from .pairwise import rtree_join
+from .wr import window_candidates
 
 
 def pairwise_join_method(
@@ -49,7 +49,6 @@ def pairwise_join_method(
     first_i, first_j = seed_edge
     order = _attachment_order(evaluator, first_i, first_j)
 
-    rects = evaluator.rects
     # intermediate result: list of partial assignments over `bound` variables
     bound = [first_i, first_j]
     partials: list[dict[int, int]] = [
@@ -67,19 +66,10 @@ def pairwise_join_method(
         ]
         extended: list[dict[int, int]] = []
         for partial in partials:
-            first_edge_j, first_predicate = edges[0]
-            window = rects[first_edge_j][partial[first_edge_j]]
-            rest = edges[1:]
-            for rect, item in search_predicate(
-                evaluator.trees[variable], first_predicate, window
-            ):
-                if all(
-                    predicate.test(rect, rects[j][partial[j]])
-                    for j, predicate in rest
-                ):
-                    new_partial = dict(partial)
-                    new_partial[variable] = item
-                    extended.append(new_partial)
+            for item in window_candidates(evaluator, variable, edges, partial):
+                new_partial = dict(partial)
+                new_partial[variable] = item
+                extended.append(new_partial)
         partials = extended
         bound.append(variable)
         if not partials:

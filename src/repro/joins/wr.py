@@ -14,14 +14,14 @@ approximate generalisation is IBB in :mod:`repro.core.ibb`.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..core.evaluator import QueryEvaluator
-from ..core.ibb import connectivity_order
-from ..index.queries import search_predicate
+from ..core.ibb import connectivity_order, neighbors_earlier_in
+from ..index.queries import search_windows
 from ..query import ProblemInstance
 
-__all__ = ["window_reduction_join"]
+__all__ = ["window_reduction_join", "window_candidates"]
 
 
 def window_reduction_join(
@@ -32,15 +32,7 @@ def window_reduction_join(
     """Yield exact solutions; stops after ``limit`` solutions when given."""
     evaluator = evaluator or QueryEvaluator(instance)
     order = connectivity_order(evaluator)
-    position_of = {variable: depth for depth, variable in enumerate(order)}
-    earlier_neighbors = [
-        [
-            (j, predicate)
-            for j, predicate in evaluator.neighbors[variable]
-            if position_of[j] < position_of[variable]
-        ]
-        for variable in order
-    ]
+    earlier_neighbors = neighbors_earlier_in(order, evaluator)
     num_variables = evaluator.num_variables
     rects = evaluator.rects
     values = [0] * num_variables
@@ -56,9 +48,9 @@ def window_reduction_join(
         edges = earlier_neighbors[depth]
         if not edges:
             # only the first variable in a connected query is unconstrained
-            candidates: Iterator[int] = iter(range(len(rects[variable])))
+            candidates: Iterable[int] = range(len(rects[variable]))
         else:
-            candidates = _window_candidates(evaluator, variable, edges, values)
+            candidates = window_candidates(evaluator, variable, edges, values)
         for object_id in candidates:
             values[variable] = object_id
             yield from backtrack(depth + 1)
@@ -68,21 +60,25 @@ def window_reduction_join(
     yield from backtrack(0)
 
 
-def _window_candidates(evaluator, variable, edges, values) -> Iterator[int]:
+def window_candidates(evaluator, variable, edges, values) -> list[int]:
     """Objects satisfying *all* instantiated conditions on ``variable``.
 
     One index window query on the most selective-looking edge (the first),
     filtered by direct predicate tests on the remaining edges — the index
-    nested loop at the heart of WR.
+    nested loop at the heart of WR, and PJM's extension step.  ``values``
+    maps a variable to its object id (a list or a partial-assignment dict).
     """
-    first_j, first_predicate = edges[0]
-    window = evaluator.rects[first_j][values[first_j]]
-    rest = edges[1:]
     rects = evaluator.rects
-    for rect, item in search_predicate(
-        evaluator.trees[variable], first_predicate, window
-    ):
-        if all(
-            predicate.test(rect, rects[j][values[j]]) for j, predicate in rest
-        ):
-            yield item
+    first_j, first_predicate = edges[0]
+    items, _satisfied = search_windows(
+        evaluator.trees[variable], [(first_predicate, rects[first_j][values[first_j]])]
+    )
+    if items and len(edges) > 1:
+        own = rects[variable]
+        others = [(predicate, rects[j][values[j]]) for j, predicate in edges[1:]]
+        items = [
+            item
+            for item in items
+            if all(predicate.test(own[item], window) for predicate, window in others)
+        ]
+    return items

@@ -244,7 +244,6 @@ def attach_dataset(
             active.attach(spec.tree_offsets),
             active.attach(spec.tree_levels),
             spec.tree_meta,
-            item_bounds=rects,
         )
         dataset = SpatialDataset(
             rects,

@@ -7,7 +7,10 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from repro import QueryGraph, Rect, hard_instance
+from repro import QueryGraph, Rect, RStarTree, bulk_load, hard_instance
+from repro.geometry import INTERSECTS
+from repro.index.bulk import pack_tree, tree_from_packed
+from repro.index.queries import search_predicate
 
 # ----------------------------------------------------------------------
 # hypothesis strategies
@@ -30,6 +33,44 @@ def rects(draw, min_size: float = 0.0, max_size: float = 50.0):
 @st.composite
 def rect_lists(draw, min_length: int = 1, max_length: int = 40):
     return draw(st.lists(rects(), min_size=min_length, max_size=max_length))
+
+
+# ----------------------------------------------------------------------
+# the ways a tree reaches a reader: ``builder(entries, max_entries)``
+# (``bulk_load`` itself is the fifth)
+# ----------------------------------------------------------------------
+def _inserted(entries, max_entries):
+    tree = RStarTree(max_entries=max_entries)
+    for rect, item in entries:
+        tree.insert(rect, item)
+    return tree
+
+
+def _unpacked(entries, max_entries):
+    return tree_from_packed(**pack_tree(bulk_load(entries, max_entries=max_entries)))
+
+
+def _never_inflated(entries, max_entries):
+    """What a warm worker holds: read-only arrays, never asked for a node."""
+    packed = pack_tree(_inserted(entries, max_entries))
+    arrays = []
+    for name in ("entry_bounds", "entry_children", "node_offsets", "node_levels"):
+        frozen = packed[name].copy()
+        frozen.flags.writeable = False
+        arrays.append(frozen)
+    return tree_from_packed(*arrays, packed["meta"])
+
+
+def _remutated(entries, max_entries):
+    """Inserted, packed by a read, mutated again: the second read must see a
+    fresh packed form, not the dropped one."""
+    half = len(entries) // 2
+    tree = _inserted(entries[:half] + [(Rect(0, 0, 1, 1), -1)], max_entries)
+    list(search_predicate(tree, INTERSECTS, Rect(0, 0, 1, 1)))
+    assert tree.delete(Rect(0, 0, 1, 1), -1)
+    for rect, item in entries[half:]:
+        tree.insert(rect, item)
+    return tree
 
 
 # ----------------------------------------------------------------------

@@ -27,41 +27,7 @@ from repro.geometry import CONTAINS, INSIDE, INTERSECTS, NORTHEAST, WithinDistan
 from repro.geometry.kernels import make_count_scorer
 from repro.index.bulk import pack_tree, tree_from_packed
 
-from conftest import rect_lists, rects
-
-
-def _inserted(entries, max_entries):
-    tree = RStarTree(max_entries=max_entries)
-    for rect, item in entries:
-        tree.insert(rect, item)
-    return tree
-
-
-def _unpacked(entries, max_entries):
-    return tree_from_packed(**pack_tree(bulk_load(entries, max_entries=max_entries)))
-
-
-def _never_inflated(entries, max_entries):
-    """What a warm worker holds: read-only arrays, never asked for a node."""
-    packed = pack_tree(_inserted(entries, max_entries))
-    arrays = []
-    for name in ("entry_bounds", "entry_children", "node_offsets", "node_levels"):
-        frozen = packed[name].copy()
-        frozen.flags.writeable = False
-        arrays.append(frozen)
-    return tree_from_packed(*arrays, packed["meta"])
-
-
-def _remutated(entries, max_entries):
-    """Inserted, packed by a read, mutated again: the second read must see a
-    fresh packed form, not the dropped one."""
-    half = len(entries) // 2
-    tree = _inserted(entries[:half] + [(Rect(0, 0, 1, 1), -1)], max_entries)
-    find_best_value(tree, [(INTERSECTS, Rect(0, 0, 1, 1))], -1.0)
-    assert tree.delete(Rect(0, 0, 1, 1), -1)
-    for rect, item in entries[half:]:
-        tree.insert(rect, item)
-    return tree
+from conftest import _inserted, _never_inflated, _remutated, _unpacked, rect_lists, rects
 
 
 # module scope: the builders are stateless, and hypothesis rejects

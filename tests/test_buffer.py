@@ -4,9 +4,24 @@ import random
 
 import pytest
 
-from repro import Budget, QueryGraph, Rect, hard_instance, indexed_local_search, uniform_dataset
+from repro import (
+    Budget,
+    QueryGraph,
+    Rect,
+    hard_instance,
+    indexed_branch_and_bound,
+    indexed_local_search,
+    planted_instance,
+    uniform_dataset,
+)
+from repro.core.evaluator import QueryEvaluator
 from repro.index import BufferPool
 from repro.index.queries import search_items
+from repro.joins import (
+    pairwise_join_method,
+    synchronous_traversal_join,
+    window_reduction_join,
+)
 
 
 class TestLruSemantics:
@@ -139,6 +154,51 @@ class TestTreeIntegration:
         assert {node for _tree, node in pages_a} & {node for _tree, node in pages_b}
         assert a.tree._root is None and b.tree._root is None
 
+    def test_traversal_ibb_and_window_queries_share_pages(self):
+        """Every reader names a page ``(id(packed), node index)``: a pool
+        shared by ST, IBB and window queries holds each node once."""
+        instance = planted_instance(QueryGraph.clique(3), 300, seed=8)
+        evaluator = QueryEvaluator(instance)
+        trees = evaluator.trees
+        pool = BufferPool(capacity=4_096)  # nothing is ever evicted
+        for tree in trees:
+            tree.pager = pool
+
+        def pages():
+            return {
+                id(tree): {page for page in pool._resident if page[0] == id(tree.packed())}
+                for tree in trees
+            }
+
+        def total_reads():
+            return sum(tree.stats.node_reads for tree in trees)
+
+        assert list(synchronous_traversal_join(instance, evaluator))
+        assert pool.accesses == total_reads()
+        after_traversal = pages()
+        assert all(after_traversal.values())
+        # the page set is the tree's nodes, whoever touched them: full-domain
+        # window queries find every node ST read already resident
+        misses = pool.misses
+        for tree in trees:
+            assert len(list(search_items(tree, Rect(0, 0, 1, 1)))) == 300
+        everything = pages()
+        for tree in trees:
+            assert after_traversal[id(tree)] <= everything[id(tree)]
+            assert len(everything[id(tree)]) == len(tree.packed().levels)
+        assert pool.misses == misses + sum(
+            len(everything[key] - after_traversal[key]) for key in everything
+        )
+        # … and IBB, WR and PJM after them miss nothing at all
+        misses = pool.misses
+        indexed_branch_and_bound(instance, Budget.iterations(500), evaluator=evaluator)
+        assert list(window_reduction_join(instance, evaluator))
+        assert list(pairwise_join_method(instance, evaluator))
+        assert pool.misses == misses and pages() == everything
+        assert pool.accesses == total_reads()
+        assert len(pool) == pool.misses == sum(len(tree.packed().levels) for tree in trees)
+        assert all(tree._root is None for tree in trees)
+
 
 class TestObsCounters:
     """Buffer accesses emit ``index.buffer.hit`` / ``index.buffer.miss``.
@@ -184,6 +244,23 @@ class TestObsCounters:
         assert counters["index.buffer.hit"] + counters["index.buffer.miss"] == (
             pool.accesses
         )
+
+    def test_traversal_and_candidate_enumeration_emit_counters(self):
+        from repro.obs import MemorySink, Observation, observe
+
+        instance = planted_instance(QueryGraph.clique(3), 200, seed=9)
+        evaluator = QueryEvaluator(instance)
+        pool = BufferPool(capacity=6)
+        for tree in evaluator.trees:
+            tree.pager = pool
+        with observe(Observation(sink=MemorySink())) as observation:
+            list(synchronous_traversal_join(instance, evaluator))
+            after_traversal = pool.accesses
+            indexed_branch_and_bound(instance, Budget.iterations(300), evaluator=evaluator)
+            counters = observation.registry.snapshot()["counters"]
+        assert 0 < after_traversal < pool.accesses
+        assert counters["index.buffer.hit"] == pool.hits > 0
+        assert counters["index.buffer.miss"] == pool.misses > 0
 
     def test_no_counters_without_pager(self):
         from repro.obs import MemorySink, Observation, observe

@@ -1,4 +1,11 @@
-"""Indexed Branch and Bound: optimality against the brute-force oracle."""
+"""Indexed Branch and Bound: optimality against the brute-force oracle.
+
+Candidate enumeration answers all windows of a candidate list in one
+descent; the loop it replaced — one ``search_predicate`` per instantiated
+neighbour, hits counted in a dict — lives on here
+(:func:`reference_candidates`) as the oracle for the candidate *sequence*
+and the index work charged for it.
+"""
 
 import random
 
@@ -8,13 +15,21 @@ from repro import (
     Budget,
     IBBConfig,
     QueryGraph,
+    Rect,
+    bulk_load,
     hard_instance,
     indexed_branch_and_bound,
     planted_instance,
 )
 from repro.core.evaluator import QueryEvaluator
-from repro.core.ibb import connectivity_order
+from repro.core.ibb import _candidates, connectivity_order
+from repro.data import SpatialDataset
+from repro.geometry import INSIDE, NORTHEAST, WithinDistance
+from repro.index.queries import search_predicate
 from repro.joins import brute_force_best
+from repro.query import ProblemInstance
+
+from conftest import _inserted, _never_inflated, _remutated, _unpacked
 
 
 class TestConnectivityOrder:
@@ -139,3 +154,135 @@ class TestAnytimeBehaviour:
         )
         assert result.is_exact
         assert result.stats["proven_optimal"]
+
+
+# ----------------------------------------------------------------------
+# the per-edge window queries _candidates used to issue: its oracle
+# ----------------------------------------------------------------------
+def reference_candidates(evaluator, variable, edges, values):
+    dataset_size = len(evaluator.rects[variable])
+    if not edges:
+        for object_id in range(dataset_size):
+            yield object_id, 0
+        return
+    counts = {}
+    tree = evaluator.trees[variable]
+    rects = evaluator.rects
+    for j, predicate in edges:
+        window = rects[j][values[j]]
+        for _rect, item in search_predicate(tree, predicate, window):
+            counts[item] = counts.get(item, 0) + 1
+    buckets = {}
+    for object_id, satisfied in counts.items():
+        buckets.setdefault(satisfied, []).append(object_id)
+    for satisfied in range(len(edges), 0, -1):
+        for object_id in sorted(buckets.get(satisfied, ())):
+            yield object_id, satisfied
+    for object_id in range(dataset_size):
+        if object_id not in counts:
+            yield object_id, 0
+
+
+BUILDERS = {
+    "bulk_load": bulk_load,
+    "inserted": _inserted,
+    "unpacked": _unpacked,
+    "never_inflated": _never_inflated,
+    "remutated": _remutated,
+}
+
+
+def mixed_clique():
+    """Clique-3 of ``intersects`` plus a fourth variable tied to each of them
+    by a different §7 predicate."""
+    query = QueryGraph(4)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        query.add_edge(i, j)
+    return (
+        query.add_edge(0, 3, INSIDE).add_edge(1, 3, NORTHEAST).add_edge(2, 3, WithinDistance(0.15))
+    )
+
+
+def mixed_star(n):
+    """A star whose centre joins its leaves by ``inside`` / ``northeast`` /
+    ``within_distance`` / ``intersects`` in turn (leaf → centre orientation)."""
+    predicates = [INSIDE, NORTHEAST, WithinDistance(0.1), None]
+    query = QueryGraph(n)
+    for leaf in range(1, n):
+        predicate = predicates[(leaf - 1) % len(predicates)]
+        if predicate is None:
+            query.add_edge(0, leaf)
+        else:
+            query.add_edge(leaf, 0, predicate)
+    return query
+
+
+QUERIES = {
+    "chain": QueryGraph.chain(4),
+    "clique": QueryGraph.clique(4),
+    "star": QueryGraph.star(5),
+    "mixed_clique": mixed_clique(),
+    "mixed_star": mixed_star(5),
+}
+
+
+def make_instance(query, builder, count, extent, max_entries, seed):
+    rng = random.Random(seed)
+    datasets = []
+    for _ in range(query.num_variables):
+        rect_list = [
+            Rect.from_center(rng.random(), rng.random(), extent * (0.5 + rng.random()), extent)
+            for _ in range(count)
+        ]
+        tree = builder(list(zip(rect_list, range(count))), max_entries)
+        datasets.append(SpatialDataset(rect_list, tree=tree))
+    return ProblemInstance(query=query, datasets=datasets)
+
+
+def assert_same_candidates(evaluator, rng, rounds):
+    """Every variable against all its neighbours instantiated at random, and
+    against each prefix of them: same ``(object_id, satisfied)`` sequence,
+    same ``TreeStats`` delta (``window_queries`` included)."""
+    compared = 0
+    for _ in range(rounds):
+        values = evaluator.random_values(rng)
+        for variable in range(evaluator.num_variables):
+            neighbors = evaluator.neighbors[variable]
+            for length in range(len(neighbors) + 1):
+                edges = neighbors[:length]
+                stats = evaluator.trees[variable].stats
+                before = stats.snapshot()
+                got = list(_candidates(evaluator, variable, edges, values))
+                work = stats.diff(before)
+                before = stats.snapshot()
+                expected = list(reference_candidates(evaluator, variable, edges, values))
+                assert got == expected
+                assert work == stats.diff(before)
+                compared += bool(edges) and got[0][1] > 0
+    assert compared  # some candidate list had a non-empty bucket
+
+
+class TestCandidatesAgainstPerEdgeQueries:
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("shape", sorted(QUERIES))
+    def test_sequence_and_index_work(self, builder, shape):
+        instance = make_instance(QUERIES[shape], BUILDERS[builder], 150, 0.12, 5, f"{builder}:{shape}")
+        evaluator = QueryEvaluator(instance)
+        assert evaluator.trees[0].height > 2
+        assert_same_candidates(evaluator, random.Random(shape), rounds=6)
+        if builder == "never_inflated":
+            assert all(tree._root is None for tree in evaluator.trees)
+
+    @pytest.mark.parametrize("shape", ["clique", "mixed_clique"])
+    def test_three_level_tree_beyond_the_prefix(self, shape):
+        instance = make_instance(QUERIES[shape], bulk_load, 3_000, 0.03, 40, shape)
+        evaluator = QueryEvaluator(instance)
+        packed = evaluator.trees[0].packed()
+        assert packed.height == 3 and 0 < packed.prefix_stop < 3_000
+        assert_same_candidates(evaluator, random.Random(shape), rounds=3)
+
+    def test_unconstrained_variable_lists_the_domain(self, tiny_clique_instance):
+        evaluator = QueryEvaluator(tiny_clique_instance)
+        size = len(evaluator.rects[0])
+        assert list(_candidates(evaluator, 0, [], [0] * 4)) == [(i, 0) for i in range(size)]
+        assert evaluator.trees[0].stats.window_queries == 0

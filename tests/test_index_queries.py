@@ -1,4 +1,4 @@
-"""Predicate search and k-NN query tests."""
+"""Predicate search, multi-window search and k-NN query tests."""
 
 import math
 import random
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro import Rect, RStarTree, bulk_load
 from repro.geometry import CONTAINS, INSIDE, INTERSECTS, NORTHEAST, WithinDistance
-from repro.index.queries import nearest_neighbors, search_predicate
+from repro.index import BufferPool
+from repro.index.queries import nearest_neighbors, search_predicate, search_windows
 
 from conftest import rect_lists, rects
 
@@ -117,6 +118,91 @@ class TestPackedAndInflatedFormsAgree:
         assert tree.delete(rect_list[0], 0)
         tree.insert(window, "window")
         self.check(tree, window)
+
+
+class TestSearchWindows:
+    """One descent for several windows does — and charges — what one
+    ``search_predicate`` per window would."""
+
+    PREDICATES = [INTERSECTS, INSIDE, CONTAINS, NORTHEAST, WithinDistance(3.0)]
+
+    def check(self, tree, constraints):
+        twin_pool, pool = BufferPool(8), BufferPool(8)
+        tree.pager = twin_pool
+        before = tree.stats.snapshot()
+        counts, order = {}, []
+        for predicate, window in constraints:
+            for _rect, item in search_predicate(tree, predicate, window):
+                if item not in counts:
+                    order.append(item)
+                counts[item] = counts.get(item, 0) + 1
+        expected_work = tree.stats.diff(before)
+        tree.pager = pool
+        before = tree.stats.snapshot()
+        items, satisfied = search_windows(tree, constraints)
+        tree.pager = None
+        assert items == order
+        assert satisfied == [counts[item] for item in order]
+        assert tree.stats.diff(before) == expected_work
+        # not only as many page accesses: the same ones in the same sequence
+        assert (pool.hits, pool.misses, pool.evictions) == (
+            twin_pool.hits, twin_pool.misses, twin_pool.evictions,
+        )
+        assert list(pool._resident) == list(twin_pool._resident)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rect_lists(max_length=120), st.lists(rects(), min_size=1, max_size=6))
+    def test_intersects(self, rect_list, windows):
+        self.check(make_tree(rect_list), [(INTERSECTS, window) for window in windows])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rect_lists(max_length=120),
+        st.lists(st.tuples(st.sampled_from(PREDICATES), rects()), min_size=1, max_size=6),
+    )
+    def test_mixed_predicates(self, rect_list, constraints):
+        tree = RStarTree(max_entries=4)
+        for item, rect in enumerate(rect_list):
+            tree.insert(rect, item)
+        self.check(tree, constraints)
+
+    def test_three_level_tree_beyond_the_prefix(self):
+        rng = random.Random(5)
+        rect_list = [
+            Rect.from_center(rng.random(), rng.random(), 0.02, 0.02) for _ in range(3_000)
+        ]
+        tree = make_tree(rect_list, max_entries=40)
+        assert tree.height == 3 and tree.packed().prefix_stop < 3_000
+        for _ in range(30):
+            windows = [
+                Rect.from_center(rng.random(), rng.random(), 0.1, 0.1)
+                for _ in range(rng.randint(1, 5))
+            ]
+            self.check(tree, [(INTERSECTS, window) for window in windows])
+            self.check(tree, [(rng.choice(self.PREDICATES[:4]), window) for window in windows])
+        assert tree._root is None
+
+    def test_root_wider_than_the_prefix(self):
+        rng = random.Random(7)
+        rect_list = [Rect.from_center(rng.random(), rng.random(), 0.05, 0.05) for _ in range(700)]
+        tree = bulk_load(list(zip(rect_list, range(700))), max_entries=1_000, fill=1.0)
+        assert tree.height == 1 and tree.packed().prefix_nodes == 0
+        window = Rect(0.2, 0.2, 0.5, 0.5)
+        self.check(tree, [(INTERSECTS, window), (INSIDE, window)])
+        items, _satisfied = search_windows(tree, [(INTERSECTS, window)])
+        assert sorted(items) == [i for i, rect in enumerate(rect_list) if rect.intersects(window)]
+
+    def test_non_integer_items(self):
+        tree = RStarTree(max_entries=4)
+        for i in range(30):
+            tree.insert(Rect(i, i, i + 2, i + 2), f"item{i}")
+        self.check(tree, [(INTERSECTS, Rect(3, 3, 9, 9)), (INSIDE, Rect(0, 0, 8, 8))])
+
+    def test_empty_tree_and_no_constraints(self):
+        assert search_windows(bulk_load([]), [(INTERSECTS, Rect(0, 0, 1, 1))]) == ([], [])
+        tree = make_tree([Rect(0, 0, 1, 1)])
+        assert search_windows(tree, []) == ([], [])
+        assert tree.stats.node_reads == 0 and tree.stats.window_queries == 0
 
 
 class TestNearestNeighbors:

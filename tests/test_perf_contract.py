@@ -91,3 +91,33 @@ def test_insert_built_dataset_shape():
     found = find_best_value(dataset.tree, [(INTERSECTS, rects[3])], floor_score=0.0)
     assert found is not None and rects[found.item].intersects(rects[3])
     assert dataset.tree.stats.best_value_searches == 1
+
+
+def exact_side_sources():
+    src = PERF.parent / "src" / "repro"
+    return sorted(src.glob("core/*.py")) + sorted(src.glob("joins/*.py"))
+
+
+@pytest.mark.parametrize(
+    "source", exact_side_sources(), ids=lambda path: f"{path.parent.name}/{path.name}"
+)
+def test_core_and_joins_read_trees_through_packed_arrays(source):
+    """No module of the engine or the join baselines walks the node graph:
+    none imports ``repro.index.node`` or reads a tree's ``.root`` (which
+    would inflate one).  ``RStarTree.root`` and ``Node.bounds_array()``
+    themselves stay — ``perf/layers.py`` calls them."""
+    for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = {alias.name for alias in node.names}
+            assert not module.endswith("index.node"), f"{source}:{node.lineno}"
+            assert not (module.endswith("index") and names & {"node", "Node"}), f"{source}:{node.lineno}"
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("index.node") for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "root", f"{source}:{node.lineno} reads .root"
+
+
+def test_the_guard_sees_the_sources():
+    names = {path.name for path in exact_side_sources()}
+    assert {"ibb.py", "best_value.py", "st.py", "pairwise.py", "wr.py", "pjm.py"} <= names
