@@ -127,13 +127,13 @@ def indexed_simulated_annealing(
             if candidate is None or candidate == state.values[variable]:
                 continue
             before = state.violations
-            old_value = state.values[variable]
+            old_value, old_rect = state.values[variable], state.rects[variable]
             state.set_value(variable, candidate)
             delta = state.violations - before
             if delta > 0:
                 temperature = config.temperature(budget.progress())
                 if rng.random() >= math.exp(-delta / temperature):
-                    state.set_value(variable, old_value)  # reject
+                    state.set_value(variable, old_value, old_rect)  # reject
                     continue
             accepted += 1
             if state.violations < best_violations:
@@ -179,9 +179,7 @@ def _propose(
             for (predicate, window), (j, _p) in zip(
                 constraints, evaluator.neighbors[variable]
             )
-            if not predicate.test(
-                evaluator.rects[variable][state.values[variable]], window
-            )
+            if not predicate.test(state.rects[variable], window)
         ]
         pool = violated or constraints
         if pool:
@@ -195,4 +193,4 @@ def _propose(
             if matches:
                 return matches[rng.randrange(len(matches))]
             return None
-    return rng.randrange(len(evaluator.rects[variable]))
+    return rng.randrange(len(evaluator.columns[variable]))

@@ -46,13 +46,15 @@ class QueryEvaluator:
         self.query = instance.query
         self.num_variables = instance.query.num_variables
         self.num_constraints = instance.query.num_edges
-        #: rects[i][oid] — the MBR of object ``oid`` of dataset ``i``
-        self.rects: list[list[Rect]] = [dataset.rects for dataset in instance.datasets]
         self.trees: list[RStarTree] = [dataset.tree for dataset in instance.datasets]
-        #: columns[i] — columnar view of dataset ``i`` (shared with the dataset)
+        #: columns[i] — the object table of dataset ``i`` (the dataset's own)
         self.columns: list[RectColumns] = [
             dataset.columns for dataset in instance.datasets
         ]
+        #: rects[i][oid] — the MBR of object ``oid`` of dataset ``i``: the same
+        #: tables read as sequences, one row fetch per index (the searches
+        #: read the rectangles their :class:`SolutionState` carries instead)
+        self.rects = self.columns
         #: neighbors[i] — list of ``(j, predicate oriented from i)``
         self.neighbors: list[list[tuple[int, SpatialPredicate]]] = [
             sorted(instance.query.neighbors(i).items())
@@ -66,7 +68,11 @@ class QueryEvaluator:
     def pair_satisfied(self, i: int, object_i: int, j: int, object_j: int) -> bool:
         """Does the join condition between ``i`` and ``j`` hold for these objects?"""
         predicate = self.query.predicate(i, j)
-        return predicate.test(self.rects[i][object_i], self.rects[j][object_j])
+        return predicate.test(self.columns[i].rect(object_i), self.columns[j].rect(object_j))
+
+    def rects_of(self, values: Sequence[int]) -> list[Rect]:
+        """The rectangle each variable is assigned: one row fetch per variable."""
+        return [columns.rect(value) for columns, value in zip(self.columns, values)]
 
     def count_violations(self, values: list[int] | tuple[int, ...]) -> int:
         """Inconsistency degree: number of violated join conditions."""
@@ -74,18 +80,21 @@ class QueryEvaluator:
         if obs.enabled:  # one attribute check when observation is off
             obs.counter("eval.violation_checks").inc()
         violations = 0
-        rects = self.rects
+        rects = self.rects_of(values)
         for i, j, predicate in self.query.edges():
-            if not predicate.test(rects[i][values[i]], rects[j][values[j]]):
+            if not predicate.test(rects[i], rects[j]):
                 violations += 1
         return violations
 
     def satisfied_counts(self, values: list[int] | tuple[int, ...]) -> list[int]:
         """Per-variable count of *satisfied* incident join conditions."""
+        return self.satisfied_counts_of(self.rects_of(values))
+
+    def satisfied_counts_of(self, rects: Sequence[Rect]) -> list[int]:
+        """:meth:`satisfied_counts` of an assignment given as its rectangles."""
         counts = [0] * self.num_variables
-        rects = self.rects
         for i, j, predicate in self.query.edges():
-            if predicate.test(rects[i][values[i]], rects[j][values[j]]):
+            if predicate.test(rects[i], rects[j]):
                 counts[i] += 1
                 counts[j] += 1
         return counts
@@ -160,7 +169,7 @@ class QueryEvaluator:
     # ------------------------------------------------------------------
     def random_values(self, rng: random.Random) -> list[int]:
         """A uniformly random assignment (the *seed* of local search)."""
-        return [rng.randrange(len(rects)) for rects in self.rects]
+        return [rng.randrange(len(columns)) for columns in self.columns]
 
     def make_state(self, values: list[int]) -> SolutionState:
         """Wrap an assignment in an incrementally-maintained state."""
@@ -171,10 +180,16 @@ class QueryEvaluator:
         values_list = [list(values) for values in values_list]
         if not values_list:
             return []
-        counts = self.satisfied_counts_batch(values_list)
+        matrix = np.asarray(values_list, dtype=np.intp)
+        counts = self.satisfied_counts_batch(matrix)
+        # the states' rectangles, one gather per variable: rows[v][k]
+        rows = [
+            np.stack(columns.take(matrix[:, v]), axis=1).tolist()
+            for v, columns in enumerate(self.columns)
+        ]
         return [
-            SolutionState.from_counts(self, values, row)
-            for values, row in zip(values_list, counts.tolist())
+            SolutionState.from_counts(self, values, sat, list(map(Rect._make, rects)))
+            for values, sat, rects in zip(values_list, counts.tolist(), zip(*rows))
         ]
 
     def validated_warm_start(
@@ -195,7 +210,7 @@ class QueryEvaluator:
                 f"{self.num_variables} variables"
             )
         for variable, value in enumerate(values):
-            domain = len(self.rects[variable])
+            domain = len(self.columns[variable])
             if not 0 <= value < domain:
                 raise ValueError(
                     f"warm start value {value} outside domain of variable "

@@ -172,6 +172,6 @@ def _improve_once_effective(
             penalty=lambda item, _v=variable: penalties.weighted(_v, item),
         )
         if found is not None:
-            state.set_value(variable, found.item)
+            state.set_value(variable, found.item, found.rect)
             return True
     return False

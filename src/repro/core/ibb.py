@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..geometry import Rect
 from ..index.queries import search_windows
 from ..index.stats import index_work_since, node_reads_probe, snapshot_trees
 from ..obs import current
@@ -95,6 +96,9 @@ def indexed_branch_and_bound(
     nodes_expanded = 0
     exhausted_cleanly = True
     values = [0] * num_variables
+    #: windows[v] — the rectangle of ``values[v]`` for the instantiated prefix,
+    #: fetched when the next level first asks for candidates under it
+    windows: list[Rect | None] = [None] * num_variables
 
     earlier_neighbors = neighbors_earlier_in(order, evaluator)
 
@@ -123,7 +127,10 @@ def indexed_branch_and_bound(
             return
         variable = order[depth]
         edges = earlier_neighbors[depth]
-        for object_id, satisfied in _candidates(evaluator, variable, edges, values):
+        if depth:
+            parent = order[depth - 1]
+            windows[parent] = evaluator.columns[parent].rect(values[parent])
+        for object_id, satisfied in _candidates(evaluator, variable, edges, windows):
             nodes_expanded += 1
             budget.tick()
             if budget.exhausted():
@@ -168,25 +175,24 @@ def indexed_branch_and_bound(
     )
 
 
-def _candidates(evaluator, variable, edges, values):
+def _candidates(evaluator, variable, edges, windows):
     """Candidate values for ``variable``, best first.
 
     Yields ``(object_id, satisfied)`` in decreasing ``satisfied`` order,
     where ``satisfied`` counts the conditions held against the instantiated
-    neighbors in ``edges``.  Counts come from one multi-window descent that
-    is charged as one index window query per edge; objects matching no
-    window form the implicit 0-bucket and are enumerated last (they are
-    reached only when the bound still allows ``len(edges)`` extra violations).
+    neighbors in ``edges``, whose rectangles are ``windows[j]``.  Counts come
+    from one multi-window descent that is charged as one index window query
+    per edge; objects matching no window form the implicit 0-bucket and are
+    enumerated last (they are reached only when the bound still allows
+    ``len(edges)`` extra violations).
     """
-    dataset_size = len(evaluator.rects[variable])
+    dataset_size = len(evaluator.columns[variable])
     if not edges:
         for object_id in range(dataset_size):
             yield object_id, 0
         return
-    rects = evaluator.rects
     items, counts = search_windows(
-        evaluator.trees[variable],
-        [(predicate, rects[j][values[j]]) for j, predicate in edges],
+        evaluator.trees[variable], [(predicate, windows[j]) for j, predicate in edges]
     )
     buckets: list[list[int]] = [[] for _ in range(len(edges) + 1)]
     for object_id, satisfied in zip(items, counts):

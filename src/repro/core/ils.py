@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..faults import checkpoint_incumbent
+from ..geometry import Rect
 from ..index.stats import index_work_since, node_reads_probe, snapshot_trees
 from ..obs import current
 from ..query import ProblemInstance
@@ -188,7 +189,7 @@ def _improve_with_index(
     )
     if found is None:
         return False
-    state.set_value(variable, found.item)
+    state.set_value(variable, found.item, found.rect)
     return True
 
 
@@ -200,20 +201,20 @@ def _improve_with_random_tries(
     rng: random.Random,
 ) -> bool:
     """[PMK+99]-style move: sample random values, keep the best improving one."""
-    rects = evaluator.rects[variable]
+    columns = evaluator.columns[variable]
     constraints = state.constraint_windows(variable)
     best_satisfied = state.sat[variable]
-    best_candidate: int | None = None
+    best: tuple[int, Rect] | None = None
     for _ in range(config.random_tries):
-        candidate = rng.randrange(len(rects))
-        rect = rects[candidate]
+        candidate = rng.randrange(len(columns))
+        rect = columns.rect(candidate)
         satisfied = sum(
             1 for predicate, window in constraints if predicate.test(rect, window)
         )
         if satisfied > best_satisfied:
             best_satisfied = satisfied
-            best_candidate = candidate
-    if best_candidate is None:
+            best = (candidate, rect)
+    if best is None:
         return False
-    state.set_value(variable, best_candidate)
+    state.set_value(variable, *best)
     return True

@@ -218,7 +218,9 @@ def spatial_evolutionary_algorithm(
                         keep = _random_keep_set(num_variables, point, rng)
                     for variable in range(num_variables):
                         if variable not in keep:
-                            state.set_value(variable, donor.values[variable])
+                            state.set_value(
+                                variable, donor.values[variable], donor.rects[variable]
+                            )
                     crossed += 1
                 if crossed:
                     crossovers += crossed
@@ -299,7 +301,7 @@ def _improve_some_variable(state: SolutionState, evaluator: QueryEvaluator) -> b
             floor_score=float(state.sat[variable]),
         )
         if found is not None:
-            state.set_value(variable, found.item)
+            state.set_value(variable, found.item, found.rect)
             return True
     return False
 
@@ -323,11 +325,10 @@ def greedy_keep_set(state: SolutionState, count: int) -> set[int]:
     )
     # satisfied_mask[v] = bitmask of join partners v currently satisfies;
     # one pass over the edges, then the greedy loop is pure bit counting
-    values = state.values
-    rects = evaluator.rects
+    rects = state.rects
     satisfied_mask = [0] * num_variables
     for i, j, predicate in evaluator.query.edges():
-        if predicate.test(rects[i][values[i]], rects[j][values[j]]):
+        if predicate.test(rects[i], rects[j]):
             satisfied_mask[i] |= 1 << j
             satisfied_mask[j] |= 1 << i
     keep: set[int] = {initial_order[0]}

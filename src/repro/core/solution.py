@@ -13,6 +13,13 @@ algorithms share:
   violated conditions first, ties broken by fewest satisfied conditions;
 * the constraint *windows* handed to ``find_best_value`` — the current
   rectangles of a variable's join partners.
+
+A state carries the current rectangle of every variable beside its object
+id.  The datasets store their objects as columns, where reading one row
+costs an order of magnitude more than a list index; a move re-reads
+``degree(v)`` partner rectangles twice (the windows, then the recount), so
+the state keeps them — fetched once at construction, replaced in
+:meth:`SolutionState.set_value` by the rectangle ``find_best_value`` returns.
 """
 
 from __future__ import annotations
@@ -30,10 +37,12 @@ __all__ = ["SolutionState"]
 class SolutionState:
     """An assignment plus cached per-variable satisfaction counts."""
 
-    __slots__ = ("evaluator", "values", "sat", "satisfied_edges")
+    __slots__ = ("evaluator", "values", "rects", "sat", "satisfied_edges")
 
     evaluator: "QueryEvaluator"
     values: list[int]
+    #: rects[v] — the rectangle of object ``values[v]`` of dataset ``v``
+    rects: list[Rect]
     sat: list[int]
     satisfied_edges: int
 
@@ -44,7 +53,8 @@ class SolutionState:
             )
         self.evaluator = evaluator
         self.values = values
-        self.sat = evaluator.satisfied_counts(values)
+        self.rects = evaluator.rects_of(values)
+        self.sat = evaluator.satisfied_counts_of(self.rects)
         self.satisfied_edges = sum(self.sat) // 2
 
     # ------------------------------------------------------------------
@@ -73,19 +83,22 @@ class SolutionState:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def set_value(self, variable: int, object_id: int) -> None:
-        """Re-instantiate ``variable``; updates counts in O(degree)."""
-        old_id = self.values[variable]
-        if old_id == object_id:
+    def set_value(self, variable: int, object_id: int, rect: Rect | None = None) -> None:
+        """Re-instantiate ``variable``; updates counts in O(degree).
+
+        ``rect`` is the object's rectangle when the caller already holds it
+        (``find_best_value`` returns it, a crossover donor carries it);
+        otherwise it is fetched from the dataset.
+        """
+        if self.values[variable] == object_id:
             return
         evaluator = self.evaluator
-        rects = evaluator.rects
-        old_rect = rects[variable][old_id]
-        new_rect = rects[variable][object_id]
-        values = self.values
+        rects = self.rects
+        old_rect = rects[variable]
+        new_rect = evaluator.columns[variable].rect(object_id) if rect is None else rect
         sat_delta = 0
         for j, predicate in evaluator.neighbors[variable]:
-            partner_rect = rects[j][values[j]]
+            partner_rect = rects[j]
             old_ok = predicate.test(old_rect, partner_rect)
             new_ok = predicate.test(new_rect, partner_rect)
             if old_ok == new_ok:
@@ -95,22 +108,24 @@ class SolutionState:
             sat_delta += step
         self.sat[variable] += sat_delta
         self.satisfied_edges += sat_delta
-        values[variable] = object_id
+        self.values[variable] = object_id
+        rects[variable] = new_rect
 
     def copy(self) -> "SolutionState":
         """An independent copy (used by SEA's offspring allocation)."""
         clone = SolutionState.__new__(SolutionState)
         clone.evaluator = self.evaluator
         clone.values = list(self.values)
+        clone.rects = list(self.rects)
         clone.sat = list(self.sat)
         clone.satisfied_edges = self.satisfied_edges
         return clone
 
     @classmethod
     def from_counts(
-        cls, evaluator: "QueryEvaluator", values: list[int], sat: list[int]
+        cls, evaluator: "QueryEvaluator", values: list[int], sat: list[int], rects: list[Rect]
     ) -> "SolutionState":
-        """Build a state from pre-computed satisfied counts.
+        """Build a state from pre-computed satisfied counts and rectangles.
 
         Used by :meth:`QueryEvaluator.make_states`, which evaluates a whole
         population of assignments with the batched kernels and must not pay
@@ -119,6 +134,7 @@ class SolutionState:
         state = cls.__new__(cls)
         state.evaluator = evaluator
         state.values = list(values)
+        state.rects = rects
         state.sat = [int(count) for count in sat]
         state.satisfied_edges = sum(state.sat) // 2
         return state
@@ -140,19 +156,17 @@ class SolutionState:
         """The *windows* of ``find_best_value``: for each join partner of
         ``variable``, the predicate (oriented candidate→partner) and the
         partner's current rectangle."""
-        evaluator = self.evaluator
-        values = self.values
-        rects = evaluator.rects
-        return [
-            (predicate, rects[j][values[j]])
-            for j, predicate in evaluator.neighbors[variable]
-        ]
+        rects = self.rects
+        return [(predicate, rects[j]) for j, predicate in self.evaluator.neighbors[variable]]
 
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
-        """Verify the incremental counters against a full recount."""
+        """Verify the incremental counters and the carried rectangles against
+        a full recount from the datasets."""
+        fetched = self.evaluator.rects_of(self.values)
+        assert self.rects == fetched, f"stale rects: {self.rects} != {fetched}"
         expected = self.evaluator.satisfied_counts(self.values)
         assert self.sat == expected, f"stale sat counts: {self.sat} != {expected}"
         assert self.satisfied_edges == sum(expected) // 2, "stale edge count"

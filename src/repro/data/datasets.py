@@ -9,10 +9,13 @@ integers ``0 … N-1`` so that solutions are plain integer tuples.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from ..geometry import Rect, RectColumns
-from ..index import RStarTree, bulk_load
+from ..index import RStarTree, bulk_load_bounds
 from .density import density_of_rects
 
 __all__ = ["SpatialDataset", "UNIT_WORKSPACE"]
@@ -24,10 +27,17 @@ UNIT_WORKSPACE = Rect(0.0, 0.0, 1.0, 1.0)
 class SpatialDataset:
     """An immutable collection of MBRs with a bulk-loaded R*-tree over them.
 
+    The object table is stored once, as :class:`RectColumns` (four float64
+    arrays); ``dataset[i]``, iteration and :attr:`rects` read it as a
+    sequence of :class:`Rect`, each materialised on demand and not retained.
+
     Parameters
     ----------
     rects:
-        Object MBRs; position in the sequence is the object id.
+        Object MBRs — a :class:`RectColumns` (stored as it is, e.g. the
+        warm plane's shared-memory columns) or any sequence of rectangles;
+        position in the sequence is the object id.  Rows must be finite with
+        ``min <= max``.
     name:
         Human-readable label used in reports and examples.
     workspace:
@@ -37,86 +47,65 @@ class SpatialDataset:
     tree:
         Pre-built index (must contain exactly ``(rects[i], i)`` entries); when
         omitted, an STR bulk-loaded R*-tree is built.
-    columns:
-        Pre-built columnar view of ``rects`` (must match in length); when
-        omitted, columns are packed lazily on first access.  The warm plane
-        passes zero-copy shared-memory columns here so attached datasets
-        never re-pack the table.
     """
 
     def __init__(
         self,
-        rects: Sequence[Rect],
+        rects: RectColumns | Sequence[Rect],
         name: str = "dataset",
         workspace: Rect = UNIT_WORKSPACE,
         max_entries: int | None = None,
         tree: RStarTree | None = None,
-        columns: RectColumns | None = None,
     ):
-        if len(rects) == 0:
+        columns = RectColumns.from_rects(rects)
+        if len(columns) == 0:
             raise ValueError("a dataset must contain at least one object")
-        self._rects = list(rects)
-        if columns is not None and len(columns) != len(self._rects):
-            raise ValueError(
-                f"columns length {len(columns)} != object count {len(self._rects)}"
-            )
-        self._columns: RectColumns | None = columns
+        #: the object table; the layout the vectorized kernels in
+        #: :mod:`repro.geometry.kernels` consume (read-only: the index mirrors it)
+        self.columns = columns.validate()
+        for column in columns.as_tuple():
+            column.flags.writeable = False
         self.name = name
         self.workspace = workspace
         if tree is not None:
-            if len(tree) != len(self._rects):
+            if len(tree) != len(columns):
                 raise ValueError(
-                    f"index size {len(tree)} != object count {len(self._rects)}"
+                    f"index size {len(tree)} != object count {len(columns)}"
                 )
             self.tree = tree
         else:
-            entries = [(rect, object_id) for object_id, rect in enumerate(self._rects)]
             kwargs = {} if max_entries is None else {"max_entries": max_entries}
-            self.tree = bulk_load(entries, **kwargs)
+            self.tree = bulk_load_bounds(np.asarray(columns), **kwargs)
 
     # ------------------------------------------------------------------
     # container behaviour
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._rects)
+        return len(self.columns)
 
     def __getitem__(self, object_id: int) -> Rect:
-        return self._rects[object_id]
+        return self.columns.rect(object_id)
 
     def __iter__(self) -> Iterator[Rect]:
-        return iter(self._rects)
+        return iter(self.columns)
 
     @property
-    def rects(self) -> list[Rect]:
-        """The object table (treat as read-only; the index mirrors it)."""
-        return self._rects
-
-    @property
-    def columns(self) -> RectColumns:
-        """Columnar (four contiguous float64 arrays) view of the table.
-
-        Built lazily on first access and cached — valid forever because the
-        dataset is immutable.  This is the layout the vectorized kernels in
-        :mod:`repro.geometry.kernels` consume.
-        """
-        if self._columns is None:
-            self._columns = RectColumns.from_rects(self._rects)
-        return self._columns
+    def rects(self) -> RectColumns:
+        """The object table as a read-only sequence of :class:`Rect`."""
+        return self.columns
 
     # ------------------------------------------------------------------
     # derived measures
     # ------------------------------------------------------------------
     def density(self) -> float:
         """Measured density of the dataset over its workspace."""
-        return density_of_rects(self._rects, self.workspace)
+        return density_of_rects(self.columns, self.workspace)
 
     def average_extent(self) -> float:
         """Mean per-dimension extent ``|r|`` (mean of width and height)."""
-        total = sum(rect.width + rect.height for rect in self._rects)
-        return total / (2 * len(self._rects))
+        columns = self.columns
+        widths, heights = columns.xmax - columns.xmin, columns.ymax - columns.ymin
+        return math.fsum((widths + heights).tolist()) / (2 * len(columns))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SpatialDataset(name={self.name!r}, size={len(self)}, "
-            f"density={self.density():.4g})"
-        )
+        return f"SpatialDataset(name={self.name!r}, size={len(self)})"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from ..geometry import Rect
+from ..geometry import Rect, RectColumns
 
 __all__ = [
     "extent_for_density",
@@ -47,9 +47,11 @@ def density_for_extent(count: int, extent: float) -> float:
     return count * extent * extent
 
 
-def density_of_rects(rects: Iterable[Rect], workspace: Rect) -> float:
+def density_of_rects(rects: RectColumns | Iterable[Rect], workspace: Rect) -> float:
     """Measured density: total rectangle area over workspace area."""
     workspace_area = workspace.area()
     if workspace_area <= 0:
         raise ValueError(f"degenerate workspace: {workspace!r}")
-    return sum(rect.area() for rect in rects) / workspace_area
+    columns = RectColumns.from_rects(rects)
+    areas = (columns.xmax - columns.xmin) * (columns.ymax - columns.ymin)
+    return math.fsum(areas.tolist()) / workspace_area

@@ -11,6 +11,13 @@ Two extensions beyond the paper's setup are provided for the examples and
 robustness tests: gaussian-clustered data (the skewed case every spatial
 database paper worries about) and solution *planting* (used by the Figure 11
 benchmark to guarantee that an exact solution exists).
+
+Every generator fills :class:`~repro.geometry.RectColumns` directly: the
+``random.Random`` stream is drawn in object order exactly as a one-``Rect``-
+at-a-time loop would draw it (``tests/test_data.py`` keeps those loops as the
+reference), and the arithmetic on the draws is the same IEEE operations in
+the same order, run over arrays — so a seed names the same bits either way.
+Anything transcendental (``gauss``, ``**``) stays a scalar call.
 """
 
 from __future__ import annotations
@@ -18,7 +25,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from ..geometry import Rect
+import numpy as np
+
+from ..geometry import Rect, RectColumns
 from .datasets import UNIT_WORKSPACE, SpatialDataset
 from .density import extent_for_density
 
@@ -39,7 +48,7 @@ def uniform_rects(
     rng: random.Random,
     workspace: Rect = UNIT_WORKSPACE,
     extent_jitter: float = 0.0,
-) -> list[Rect]:
+) -> RectColumns:
     """``count`` square MBRs with uniform centers and exact average extent.
 
     The per-dimension extent is ``|r| = sqrt(density / count)`` (unit
@@ -57,17 +66,27 @@ def uniform_rects(
         raise ValueError(f"extent_jitter must be in [0, 1), got {extent_jitter}")
     scale = (workspace.width * workspace.height) ** 0.5
     base_extent = extent_for_density(count, density) * scale
-    rects = []
-    for _ in range(count):
-        if extent_jitter:
-            factor = rng.uniform(1.0 - extent_jitter, 1.0 + extent_jitter)
-        else:
-            factor = 1.0
-        extent = base_extent * factor
-        cx = rng.uniform(workspace.xmin, workspace.xmax)
-        cy = rng.uniform(workspace.ymin, workspace.ymax)
-        rects.append(Rect.from_center(cx, cy, extent, extent))
-    return rects
+    # per object: [extent factor,] center x, center y — rng.uniform's own draws
+    per_object = 3 if extent_jitter else 2
+    draws = _random_rows(rng, count, per_object)
+    extent = base_extent
+    if extent_jitter:
+        low, high = 1.0 - extent_jitter, 1.0 + extent_jitter
+        extent = base_extent * (low + (high - low) * draws[:, 0])
+    cx = workspace.xmin + (workspace.xmax - workspace.xmin) * draws[:, -2]
+    cy = workspace.ymin + (workspace.ymax - workspace.ymin) * draws[:, -1]
+    return RectColumns.from_centers(cx, cy, extent, extent)
+
+
+def _random_rows(rng: random.Random, rows: int, per_row: int) -> np.ndarray:
+    """``rows × per_row`` values of ``rng.random()``, drawn row by row.
+
+    ``rng.uniform(a, b)`` is ``a + (b - a) * rng.random()``, so callers apply
+    that affine map to a column and get what per-object ``uniform`` calls in
+    column order would have produced.
+    """
+    draw = rng.random
+    return np.array([draw() for _ in range(rows * per_row)]).reshape(rows, per_row)
 
 
 def uniform_dataset(
@@ -91,7 +110,7 @@ def gaussian_cluster_rects(
     clusters: int = 8,
     spread: float = 0.08,
     workspace: Rect = UNIT_WORKSPACE,
-) -> list[Rect]:
+) -> RectColumns:
     """Skewed data: centers drawn from a mixture of gaussians.
 
     Cluster centroids are uniform over the workspace; each object picks a
@@ -112,13 +131,12 @@ def gaussian_cluster_rects(
         )
         for _ in range(clusters)
     ]
-    rects = []
+    cx, cy = [], []
     for _ in range(count):
         centroid_x, centroid_y = centroids[rng.randrange(clusters)]
-        cx = min(max(rng.gauss(centroid_x, spread), workspace.xmin), workspace.xmax)
-        cy = min(max(rng.gauss(centroid_y, spread), workspace.ymin), workspace.ymax)
-        rects.append(Rect.from_center(cx, cy, extent, extent))
-    return rects
+        cx.append(min(max(rng.gauss(centroid_x, spread), workspace.xmin), workspace.xmax))
+        cy.append(min(max(rng.gauss(centroid_y, spread), workspace.ymin), workspace.ymax))
+    return RectColumns.from_centers(np.array(cx), np.array(cy), extent, extent)
 
 
 def gaussian_cluster_dataset(
@@ -141,7 +159,7 @@ def zipf_rects(
     rng: random.Random,
     skew: float = 1.5,
     workspace: Rect = UNIT_WORKSPACE,
-) -> list[Rect]:
+) -> RectColumns:
     """Rectangles with Zipf-distributed *areas* and uniform centers.
 
     Real spatial data (parcels, buildings, administrative regions) mixes a
@@ -158,18 +176,16 @@ def zipf_rects(
     rng.shuffle(weights)
     workspace_area = workspace.area()
     total_weight = sum(weights)
-    rects = []
-    for weight in weights:
-        area = density * workspace_area * weight / total_weight
-        side = area**0.5
-        # mild aspect-ratio jitter: keep the area, vary the shape
-        aspect = rng.uniform(0.5, 2.0)
-        width = side * aspect**0.5
-        height = side / aspect**0.5
-        cx = rng.uniform(workspace.xmin, workspace.xmax)
-        cy = rng.uniform(workspace.ymin, workspace.ymax)
-        rects.append(Rect.from_center(cx, cy, width, height))
-    return rects
+    areas = density * workspace_area * np.array(weights) / total_weight
+    sides = np.array([area**0.5 for area in areas.tolist()])
+    # per object: aspect ratio, center x, center y
+    draws = _random_rows(rng, count, 3)
+    # mild aspect-ratio jitter: keep the area, vary the shape
+    aspects = 0.5 + (2.0 - 0.5) * draws[:, 0]
+    roots = np.array([aspect**0.5 for aspect in aspects.tolist()])
+    cx = workspace.xmin + (workspace.xmax - workspace.xmin) * draws[:, 1]
+    cy = workspace.ymin + (workspace.ymax - workspace.ymin) * draws[:, 2]
+    return RectColumns.from_centers(cx, cy, sides * roots, sides / roots)
 
 
 def zipf_dataset(
@@ -186,34 +202,37 @@ def zipf_dataset(
 
 
 def plant_clique_solution(
-    rect_lists: Sequence[list[Rect]],
+    tables: Sequence[RectColumns],
     rng: random.Random,
     workspace: Rect = UNIT_WORKSPACE,
 ) -> tuple[int, ...]:
-    """Overwrite one rectangle per dataset so they all share a common point.
+    """Overwrite one rectangle per table so they all share a common point.
 
     Used to construct Figure 11 instances where an exact solution is
     *guaranteed* to exist (the paper selects instances with exactly one exact
-    solution).  Each list in ``rect_lists`` is mutated in place: a random
+    solution).  Each of ``tables`` — generator output not yet handed to a
+    :class:`SpatialDataset` — is mutated in place: a random
     object id per dataset is re-centred near a shared anchor point while
     keeping its original extent, which preserves dataset density almost
     exactly.  Returns the tuple of planted object ids — mutually overlapping
     by construction, hence an exact solution of any query over these
     datasets whose predicates are all ``intersects``.
     """
-    if not rect_lists:
+    if not tables:
         raise ValueError("need at least one dataset to plant a solution")
     anchor_x = rng.uniform(workspace.xmin, workspace.xmax)
     anchor_y = rng.uniform(workspace.ymin, workspace.ymax)
     planted = []
-    for rects in rect_lists:
-        object_id = rng.randrange(len(rects))
-        original = rects[object_id]
+    for table in tables:
+        object_id = rng.randrange(len(table))
+        original = table[object_id]
         # keep the extent, shift the center so the rect covers the anchor
         jitter_x = rng.uniform(-original.width / 4, original.width / 4)
         jitter_y = rng.uniform(-original.height / 4, original.height / 4)
-        rects[object_id] = Rect.from_center(
+        moved = Rect.from_center(
             anchor_x + jitter_x, anchor_y + jitter_y, original.width, original.height
         )
+        for column, value in zip(table.as_tuple(), moved):
+            column[object_id] = value
         planted.append(object_id)
     return tuple(planted)

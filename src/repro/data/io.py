@@ -7,9 +7,10 @@ Two formats:
 * ``.csv`` — one rectangle per line (``xmin,ymin,xmax,ymax``), interoperable
   with spreadsheets and external tools.
 
-Both round-trip through :class:`~repro.data.datasets.SpatialDataset`; indexes
-are rebuilt on load (bulk loading is fast and index layout is not part of the
-persisted state).
+Both move the table as one ``(N, 4)`` array — no per-row object in either
+direction — and every loader rejects non-finite or inverted rows (the
+dataset validates its columns); indexes are rebuilt on load (bulk loading is
+fast and index layout is not part of the persisted state).
 """
 
 from __future__ import annotations
@@ -19,18 +20,29 @@ from pathlib import Path
 
 import numpy as np
 
-from ..geometry import Rect
+from ..geometry import Rect, RectColumns
 from .datasets import UNIT_WORKSPACE, SpatialDataset
 
 __all__ = ["save_npz", "load_npz", "save_csv", "load_csv"]
 
 
+def _dataset_of(
+    path: str | Path, coordinates: np.ndarray, name: str, workspace: Rect
+) -> SpatialDataset:
+    """A dataset over loaded ``(N, 4)`` rows; a bad row is reported with its file."""
+    try:
+        return SpatialDataset(
+            RectColumns.from_bounds(coordinates), name=name, workspace=workspace
+        )
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
+
+
 def save_npz(dataset: SpatialDataset, path: str | Path) -> None:
     """Write a dataset (rects + workspace + name) to a ``.npz`` file."""
-    coordinates = np.array(dataset.rects, dtype=np.float64)
     np.savez_compressed(
         Path(path),
-        coordinates=coordinates,
+        coordinates=np.asarray(dataset.columns),
         workspace=np.array(dataset.workspace, dtype=np.float64),
         name=np.array(dataset.name),
     )
@@ -42,8 +54,7 @@ def load_npz(path: str | Path) -> SpatialDataset:
         coordinates = archive["coordinates"]
         workspace = Rect(*(float(c) for c in archive["workspace"]))
         name = str(archive["name"])
-    rects = [Rect(*(float(c) for c in row)) for row in coordinates]
-    return SpatialDataset(rects, name=name, workspace=workspace)
+    return _dataset_of(path, coordinates, name, workspace)
 
 
 def save_csv(dataset: SpatialDataset, path: str | Path) -> None:
@@ -62,14 +73,14 @@ def load_csv(
 ) -> SpatialDataset:
     """Load a dataset written by :func:`save_csv` (header optional)."""
     path = Path(path)
-    rects = []
+    rows = []
     with open(path, newline="") as handle:
         for row in csv.reader(handle):
             if not row or row[0].strip().lower() == "xmin":
                 continue
             if len(row) != 4:
                 raise ValueError(f"{path}: expected 4 columns, got {len(row)}: {row}")
-            rects.append(Rect(*(float(cell) for cell in row)).validate())
-    if not rects:
+            rows.append([float(cell) for cell in row])
+    if not rows:
         raise ValueError(f"{path}: no rectangles found")
-    return SpatialDataset(rects, name=name or path.stem, workspace=workspace)
+    return _dataset_of(path, np.array(rows), name or path.stem, workspace)

@@ -31,7 +31,7 @@ this, including touching-edge and degenerate (zero-area) rectangles.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,12 +87,24 @@ def window_columns(window: Rect) -> Columns:
     return (window.xmin, window.ymin, window.xmax, window.ymax)
 
 
-class RectColumns:
-    """A rectangle collection in columnar layout.
+#: rows converted per step of a :class:`RectColumns` iteration (bounds the
+#: transient lists)
+_ITER_ROWS = 4096
 
-    Stores the dataset's MBRs as four *contiguous* float64 arrays — the
-    layout every kernel in this module consumes without copying.  Built once
-    per :class:`~repro.data.datasets.SpatialDataset` and cached there.
+
+class RectColumns:
+    """A rectangle table in columnar layout — *the* stored form of a dataset.
+
+    Four contiguous float64 arrays (32 bytes per object), the layout every
+    kernel in this module consumes without copying.  The generators fill
+    them, :class:`~repro.data.datasets.SpatialDataset` stores them, the STR
+    loader reads them.  To the scalar side of the library (predicates on
+    single rectangles, the oracles, persistence) the same object is a
+    sequence of :class:`Rect`: ``len``, integer index, iteration, ``==``
+    against any rectangle sequence and ``np.array(columns)`` → ``(n, 4)``.
+    A row is materialised when asked for and not retained — about 0.4 µs
+    against 0.03 µs for a list index, which is why the search loops carry
+    the rectangles they re-read instead of fetching rows.
     """
 
     __slots__ = ("xmin", "ymin", "xmax", "ymax")
@@ -108,21 +120,83 @@ class RectColumns:
 
     @classmethod
     def from_rects(cls, rects: Iterable[Rect]) -> "RectColumns":
-        packed = pack_bounds(list(rects))
-        return cls(*split_columns(packed))
+        if isinstance(rects, cls):
+            return rects
+        return cls.from_bounds(pack_bounds(list(rects)))
 
+    @classmethod
+    def from_bounds(cls, bounds: np.ndarray) -> "RectColumns":
+        """Columns of an ``(n, 4)`` array (copied: the columns are contiguous)."""
+        bounds = np.asarray(bounds, dtype=np.float64)
+        if bounds.ndim != 2 or bounds.shape[1] != 4:
+            raise ValueError(f"expected an (n, 4) bounds array, got shape {bounds.shape}")
+        return cls(*split_columns(bounds))
+
+    @classmethod
+    def from_centers(cls, cx: Any, cy: Any, width: Any, height: Any) -> "RectColumns":
+        """The batched :meth:`Rect.from_center`: the same operations per row."""
+        half_w = width / 2.0
+        half_h = height / 2.0
+        return cls(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
+
+    def validate(self) -> "RectColumns":
+        """Return ``self`` if every row is finite with ``min <= max``.
+
+        The batched :meth:`Rect.validate`; the error names the first bad row.
+        """
+        bad = ~(
+            np.isfinite(self.xmin) & np.isfinite(self.ymin)
+            & np.isfinite(self.xmax) & np.isfinite(self.ymax)
+            & (self.xmin <= self.xmax) & (self.ymin <= self.ymax)
+        )
+        if bad.any():
+            row = int(bad.argmax())
+            raise ValueError(f"row {row}: malformed or non-finite rectangle {self.rect(row)!r}")
+        return self
+
+    # ------------------------------------------------------------------
+    # the table as a sequence of Rect
+    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.xmin)
 
     def rect(self, index: int) -> Rect:
-        """Materialise one row back into a scalar :class:`Rect`."""
-        return Rect(
-            float(self.xmin[index]),
-            float(self.ymin[index]),
-            float(self.xmax[index]),
-            float(self.ymax[index]),
+        """Materialise one row as a scalar :class:`Rect`."""
+        return Rect._make(
+            (
+                self.xmin.item(index),
+                self.ymin.item(index),
+                self.xmax.item(index),
+                self.ymax.item(index),
+            )
         )
 
+    __getitem__ = rect
+
+    def __iter__(self) -> Iterator[Rect]:
+        for start in range(0, len(self), _ITER_ROWS):
+            rows = slice(start, start + _ITER_ROWS)
+            yield from map(Rect._make, zip(*(c[rows].tolist() for c in self.as_tuple())))
+
+    def __array__(self, dtype: Any = None, copy: bool | None = None) -> np.ndarray:
+        """The table as a fresh ``(n, 4)`` array, rows laid out like :class:`Rect`."""
+        return np.stack(self.as_tuple(), axis=1).astype(dtype or np.float64, copy=False)
+
+    def __eq__(self, other: object) -> bool:
+        try:
+            other = RectColumns.from_rects(other)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(self.as_tuple(), other.as_tuple())
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    # ------------------------------------------------------------------
+    # the table as columns
+    # ------------------------------------------------------------------
     def as_tuple(self) -> Columns:
         return (self.xmin, self.ymin, self.xmax, self.ymax)
 

@@ -3,7 +3,7 @@
 from .node import Node
 from .packed import PackedTree
 from .rstar import DEFAULT_MAX_ENTRIES, RStarTree
-from .bulk import bulk_load, pack_nodes
+from .bulk import bulk_load, bulk_load_bounds, pack_nodes
 from .queries import (
     count,
     nearest_neighbors,
@@ -26,6 +26,7 @@ __all__ = [
     "RStarTree",
     "DEFAULT_MAX_ENTRIES",
     "bulk_load",
+    "bulk_load_bounds",
     "pack_nodes",
     "search",
     "search_items",

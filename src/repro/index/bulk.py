@@ -25,7 +25,7 @@ from ..geometry.kernels import pack_bounds
 from .packed import PackedTree, bounds_keys
 from .rstar import DEFAULT_MAX_ENTRIES, RStarTree
 
-__all__ = ["bulk_load", "pack_nodes", "pack_tree", "tree_from_packed"]
+__all__ = ["bulk_load", "bulk_load_bounds", "pack_nodes", "pack_tree", "tree_from_packed"]
 
 
 def bulk_load(
@@ -36,8 +36,32 @@ def bulk_load(
 ) -> RStarTree:
     """Build a packed R*-tree from ``(rect, item)`` pairs; items are integers.
 
+    A convenience over :func:`bulk_load_bounds`, which callers that already
+    hold the rectangles as an array use directly.
+    """
+    return bulk_load_bounds(
+        pack_bounds([rect for rect, _item in entries]),
+        np.asarray([item for _rect, item in entries]),
+        max_entries,
+        fill,
+        min_fill,
+    )
+
+
+def bulk_load_bounds(
+    bounds: np.ndarray,
+    items: np.ndarray | None = None,
+    max_entries: int = DEFAULT_MAX_ENTRIES,
+    fill: float = 0.9,
+    min_fill: float = 0.4,
+) -> RStarTree:
+    """Build a packed R*-tree over the rows of an ``(n, 4)`` bounds array.
+
     Parameters
     ----------
+    items:
+        Integer item of each row; the row numbers ``0 … n-1`` when omitted
+        (a dataset's object ids).
     fill:
         Target node occupancy of the packed levels.  Values below 1.0 leave
         headroom so that subsequent dynamic inserts do not immediately split
@@ -46,21 +70,22 @@ def bulk_load(
     if not 0.0 < fill <= 1.0:
         raise ValueError(f"fill must be in (0, 1], got {fill}")
     tree = RStarTree(max_entries=max_entries, min_fill=min_fill)
-    if not entries:
+    count = len(bounds)
+    if not count:
         return tree
-    items = np.asarray([item for _rect, item in entries])
+    if items is None:
+        items = np.arange(count, dtype=np.int64)
     if items.dtype.kind not in "iu":
         raise TypeError(
             f"cannot bulk-load {items.dtype} items: only integer object ids "
             f"fit the packed arrays"
         )
     capacity = max(tree.min_entries, min(max_entries, int(round(fill * max_entries))))
+    children = items.astype(np.int64, copy=False)
 
     # bottom-up: each level is (entry bounds, entry children, node offsets)
     # in build order; a level's children index the build order of the level
     # below (item ids at the leaves)
-    bounds = pack_bounds([rect for rect, _item in entries])
-    children = items.astype(np.int64)
     built = []
     while True:
         order, offsets = pack_nodes(bounds, capacity)
@@ -104,7 +129,7 @@ def bulk_load(
         np.concatenate(levels),
         keys=bounds_keys(np.concatenate(level_bounds)),
     )
-    meta = (max_entries, tree.min_entries, tree.reinsert_count, len(entries))
+    meta = (max_entries, tree.min_entries, tree.reinsert_count, count)
     return RStarTree.from_packed(packed, meta)
 
 

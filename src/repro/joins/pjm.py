@@ -50,6 +50,7 @@ def pairwise_join_method(
     order = _attachment_order(evaluator, first_i, first_j)
 
     # intermediate result: list of partial assignments over `bound` variables
+    columns = evaluator.columns
     bound = [first_i, first_j]
     partials: list[dict[int, int]] = [
         {first_i: item_i, first_j: item_j}
@@ -66,7 +67,12 @@ def pairwise_join_method(
         ]
         extended: list[dict[int, int]] = []
         for partial in partials:
-            for item in window_candidates(evaluator, variable, edges, partial):
+            # a window is fetched when asked for: most extensions end at the
+            # first one, with no hit
+            candidates = window_candidates(
+                evaluator, variable, edges, lambda j: columns[j].rect(partial[j])
+            )
+            for item in candidates:
                 new_partial = dict(partial)
                 new_partial[variable] = item
                 extended.append(new_partial)

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 
 from ..core.evaluator import QueryEvaluator
 from ..core.ibb import connectivity_order, neighbors_earlier_in
+from ..geometry import Rect
 from ..index.queries import search_windows
 from ..query import ProblemInstance
 
@@ -34,8 +35,9 @@ def window_reduction_join(
     order = connectivity_order(evaluator)
     earlier_neighbors = neighbors_earlier_in(order, evaluator)
     num_variables = evaluator.num_variables
-    rects = evaluator.rects
     values = [0] * num_variables
+    #: windows[v] — the rectangle of ``values[v]``, for the instantiated prefix
+    windows: list[Rect | None] = [None] * num_variables
     emitted = 0
 
     def backtrack(depth: int) -> Iterator[tuple[int, ...]]:
@@ -46,11 +48,14 @@ def window_reduction_join(
             return
         variable = order[depth]
         edges = earlier_neighbors[depth]
+        if depth:
+            parent = order[depth - 1]
+            windows[parent] = evaluator.columns[parent].rect(values[parent])
         if not edges:
             # only the first variable in a connected query is unconstrained
-            candidates: Iterable[int] = range(len(rects[variable]))
+            candidates: Iterable[int] = range(len(evaluator.columns[variable]))
         else:
-            candidates = window_candidates(evaluator, variable, edges, values)
+            candidates = window_candidates(evaluator, variable, edges, windows.__getitem__)
         for object_id in candidates:
             values[variable] = object_id
             yield from backtrack(depth + 1)
@@ -60,25 +65,29 @@ def window_reduction_join(
     yield from backtrack(0)
 
 
-def window_candidates(evaluator, variable, edges, values) -> list[int]:
+def window_candidates(evaluator, variable, edges, window_of) -> list[int]:
     """Objects satisfying *all* instantiated conditions on ``variable``.
 
     One index window query on the most selective-looking edge (the first),
     filtered by direct predicate tests on the remaining edges — the index
-    nested loop at the heart of WR, and PJM's extension step.  ``values``
-    maps a variable to its object id (a list or a partial-assignment dict).
+    nested loop at the heart of WR, and PJM's extension step.
+    ``window_of(j)`` is the rectangle instantiated variable ``j`` holds: WR
+    reads its stack, PJM fetches the row.
+
+    In the hard region a window hits a handful of objects at most, so the
+    filter fetches each hit's row and tests it: a kernel call over the hits
+    would cost more than it saves.
     """
-    rects = evaluator.rects
     first_j, first_predicate = edges[0]
     items, _satisfied = search_windows(
-        evaluator.trees[variable], [(first_predicate, rects[first_j][values[first_j]])]
+        evaluator.trees[variable], [(first_predicate, window_of(first_j))]
     )
     if items and len(edges) > 1:
-        own = rects[variable]
-        others = [(predicate, rects[j][values[j]]) for j, predicate in edges[1:]]
+        own = evaluator.columns[variable]
+        others = [(predicate, window_of(j)) for j, predicate in edges[1:]]
         items = [
             item
             for item in items
-            if all(predicate.test(own[item], window) for predicate, window in others)
+            if all(predicate.test(own.rect(item), window) for predicate, window in others)
         ]
     return items

@@ -16,11 +16,11 @@ search algorithm in :mod:`repro.core` consumes.
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 
-from ..data import SpatialDataset, uniform_dataset
-from ..data.generators import plant_clique_solution
+from ..data import SpatialDataset, plant_clique_solution, uniform_dataset, uniform_rects
 from .graph import QueryGraph
 from .selectivity import (
     density_for_solutions,
@@ -72,6 +72,21 @@ class ProblemInstance:
         )
 
 
+def _pace_collector() -> None:
+    """One young-generation pass of the cyclic collector per instance built.
+
+    CPython paces that collector by the number of container objects
+    allocated, not by bytes.  An instance used to be ``n·N`` ``Rect`` tuples,
+    whose allocation alone ran it hundreds of times; as columns it is a few
+    dozen objects owning megabytes, so a process that builds instance after
+    instance (a sweep, a benchmark's repeated set-up) would never trigger a
+    pass, and array-holding garbage that is only cyclically dead — a
+    closure over the previous instance's matrices, a traceback — would pile
+    up.  A young pass costs microseconds.
+    """
+    gc.collect(0)
+
+
 def hard_instance(
     query: QueryGraph,
     cardinality: int,
@@ -86,6 +101,7 @@ def hard_instance(
     ``target_solutions`` (1 = the paper's hardest setting); one uniform
     dataset of ``cardinality`` objects is generated per variable.
     """
+    _pace_collector()
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     density = density_for_solutions(query, cardinality, target_solutions)
     datasets = [
@@ -124,17 +140,15 @@ def planted_instance(
     """
     if not query.all_intersects():
         raise ValueError("planting currently supports all-intersects queries only")
+    _pace_collector()
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     density = density_for_solutions(query, cardinality, target_solutions)
-    rect_lists = [
-        # build raw rect lists first; trees are built after planting
-        _uniform_rects(cardinality, density, rng)
-        for _ in range(query.num_variables)
-    ]
-    planted = plant_clique_solution(rect_lists, rng)
+    # raw tables first; trees are built after planting
+    tables = [uniform_rects(cardinality, density, rng) for _ in range(query.num_variables)]
+    planted = plant_clique_solution(tables, rng)
     datasets = [
-        SpatialDataset(rects, name=f"D{index}", max_entries=max_entries)
-        for index, rects in enumerate(rect_lists)
+        SpatialDataset(table, name=f"D{index}", max_entries=max_entries)
+        for index, table in enumerate(tables)
     ]
     return ProblemInstance(
         query=query,
@@ -143,9 +157,3 @@ def planted_instance(
         expected_solutions=expected_solutions(query, cardinality, density),
         planted=planted,
     )
-
-
-def _uniform_rects(cardinality: int, density: float, rng: random.Random):
-    from ..data.generators import uniform_rects
-
-    return uniform_rects(cardinality, density, rng)

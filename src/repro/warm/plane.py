@@ -109,10 +109,7 @@ class WarmPlane:
             )
         obs = current()
         with obs.span("warm.publish"):
-            columns = dataset.columns
-            table = np.stack(
-                [columns.xmin, columns.ymin, columns.xmax, columns.ymax]
-            )
+            table = np.stack(dataset.columns.as_tuple())
             packed = pack_tree(dataset.tree)
             # OS names come from the manager (pid + counter); the registry
             # name only tags the payload, so "a/b"-style names are fine
@@ -236,8 +233,6 @@ def attach_dataset(
     obs = current()
     with obs.span("warm.attach"):
         table = active.attach(spec.columns)
-        columns = RectColumns(table[0], table[1], table[2], table[3])
-        rects = [Rect._make(row) for row in table.T.tolist()]
         tree = tree_from_packed(
             active.attach(spec.tree_bounds),
             active.attach(spec.tree_children),
@@ -246,11 +241,10 @@ def attach_dataset(
             spec.tree_meta,
         )
         dataset = SpatialDataset(
-            rects,
+            RectColumns(table[0], table[1], table[2], table[3]),
             name=spec.name,
             workspace=Rect(*spec.workspace),
             tree=tree,
-            columns=columns,
         )
     obs.counter("warm.attaches").inc()
     if cache:

@@ -3,9 +3,18 @@
 import random
 import statistics
 
+import numpy as np
 import pytest
 
-from repro import Rect, SpatialDataset, UNIT_WORKSPACE, uniform_dataset
+from repro import (
+    QueryGraph,
+    Rect,
+    SpatialDataset,
+    UNIT_WORKSPACE,
+    planted_instance,
+    uniform_dataset,
+    zipf_dataset,
+)
 from repro.data import (
     density_for_extent,
     density_of_rects,
@@ -14,7 +23,9 @@ from repro.data import (
     gaussian_cluster_rects,
     plant_clique_solution,
     uniform_rects,
+    zipf_rects,
 )
+from repro.query.selectivity import density_for_solutions
 from repro.index.queries import search_items
 
 
@@ -211,3 +222,136 @@ class TestZipfGenerator:
         assert len(dataset) == 200
         assert dataset.name == "zipf"
         assert dataset.density() == pytest.approx(0.2)
+
+
+# ----------------------------------------------------------------------
+# the generators fill arrays; these one-Rect-at-a-time loops (the
+# generators' previous bodies) are the reference they must equal bit for bit
+# ----------------------------------------------------------------------
+def reference_uniform_rects(count, density, rng, workspace=UNIT_WORKSPACE, extent_jitter=0.0):
+    scale = (workspace.width * workspace.height) ** 0.5
+    base_extent = extent_for_density(count, density) * scale
+    rects = []
+    for _ in range(count):
+        if extent_jitter:
+            factor = rng.uniform(1.0 - extent_jitter, 1.0 + extent_jitter)
+        else:
+            factor = 1.0
+        extent = base_extent * factor
+        cx = rng.uniform(workspace.xmin, workspace.xmax)
+        cy = rng.uniform(workspace.ymin, workspace.ymax)
+        rects.append(Rect.from_center(cx, cy, extent, extent))
+    return rects
+
+
+def reference_gaussian_cluster_rects(
+    count, density, rng, clusters=8, spread=0.08, workspace=UNIT_WORKSPACE
+):
+    scale = (workspace.width * workspace.height) ** 0.5
+    extent = extent_for_density(count, density) * scale
+    centroids = [
+        (
+            rng.uniform(workspace.xmin, workspace.xmax),
+            rng.uniform(workspace.ymin, workspace.ymax),
+        )
+        for _ in range(clusters)
+    ]
+    rects = []
+    for _ in range(count):
+        centroid_x, centroid_y = centroids[rng.randrange(clusters)]
+        cx = min(max(rng.gauss(centroid_x, spread), workspace.xmin), workspace.xmax)
+        cy = min(max(rng.gauss(centroid_y, spread), workspace.ymin), workspace.ymax)
+        rects.append(Rect.from_center(cx, cy, extent, extent))
+    return rects
+
+
+def reference_zipf_rects(count, density, rng, skew=1.5, workspace=UNIT_WORKSPACE):
+    weights = [1.0 / (rank**skew) for rank in range(1, count + 1)]
+    rng.shuffle(weights)
+    workspace_area = workspace.area()
+    total_weight = sum(weights)
+    rects = []
+    for weight in weights:
+        area = density * workspace_area * weight / total_weight
+        side = area**0.5
+        aspect = rng.uniform(0.5, 2.0)
+        width = side * aspect**0.5
+        height = side / aspect**0.5
+        cx = rng.uniform(workspace.xmin, workspace.xmax)
+        cy = rng.uniform(workspace.ymin, workspace.ymax)
+        rects.append(Rect.from_center(cx, cy, width, height))
+    return rects
+
+
+def reference_plant_clique_solution(rect_lists, rng, workspace=UNIT_WORKSPACE):
+    anchor_x = rng.uniform(workspace.xmin, workspace.xmax)
+    anchor_y = rng.uniform(workspace.ymin, workspace.ymax)
+    planted = []
+    for rects in rect_lists:
+        object_id = rng.randrange(len(rects))
+        original = rects[object_id]
+        jitter_x = rng.uniform(-original.width / 4, original.width / 4)
+        jitter_y = rng.uniform(-original.height / 4, original.height / 4)
+        rects[object_id] = Rect.from_center(
+            anchor_x + jitter_x, anchor_y + jitter_y, original.width, original.height
+        )
+        planted.append(object_id)
+    return tuple(planted)
+
+
+def assert_same_bits(columns, reference, rng, reference_rng):
+    """Equal coordinates (``==``, no tolerance) and the same rng state after."""
+    assert np.array_equal(np.asarray(columns), np.array(reference, dtype=np.float64).reshape(-1, 4))
+    assert rng.random() == reference_rng.random()
+
+
+OFF_UNIT = Rect(-3.0, 2.0, 7.5, 4.25)
+
+
+@pytest.mark.parametrize("count", [1, 7, 5_000])
+@pytest.mark.parametrize("seed", range(5))
+class TestGeneratorsEqualTheScalarLoops:
+    @pytest.mark.parametrize("extent_jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("workspace", [UNIT_WORKSPACE, OFF_UNIT])
+    def test_uniform(self, count, seed, extent_jitter, workspace):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        reference = reference_uniform_rects(count, 0.4, reference_rng, workspace, extent_jitter)
+        dataset = uniform_dataset(
+            count, 0.4, rng, workspace=workspace, extent_jitter=extent_jitter
+        )
+        assert_same_bits(dataset.columns, reference, rng, reference_rng)
+        assert uniform_rects(count, 0.4, random.Random(seed), workspace, extent_jitter) == reference
+
+    def test_gaussian(self, count, seed):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        reference = reference_gaussian_cluster_rects(count, 0.3, reference_rng, 5, 0.05, OFF_UNIT)
+        dataset = gaussian_cluster_dataset(count, 0.3, rng, 5, 0.05, workspace=OFF_UNIT)
+        assert_same_bits(dataset.columns, reference, rng, reference_rng)
+        assert gaussian_cluster_rects(count, 0.3, random.Random(seed), 5, 0.05, OFF_UNIT) == reference
+
+    def test_zipf(self, count, seed):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        reference = reference_zipf_rects(count, 0.3, reference_rng, 1.2, OFF_UNIT)
+        dataset = zipf_dataset(count, 0.3, rng, 1.2, workspace=OFF_UNIT)
+        assert_same_bits(dataset.columns, reference, rng, reference_rng)
+        assert zipf_rects(count, 0.3, random.Random(seed), 1.2, OFF_UNIT) == reference
+
+    def test_planting(self, count, seed):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        reference = [reference_uniform_rects(count, 0.2, reference_rng, OFF_UNIT) for _ in range(4)]
+        tables = [uniform_rects(count, 0.2, rng, OFF_UNIT) for _ in range(4)]
+        expected = reference_plant_clique_solution(reference, reference_rng, OFF_UNIT)
+        assert plant_clique_solution(tables, rng, OFF_UNIT) == expected
+        for table, rects in zip(tables, reference):
+            assert table == rects
+        assert rng.random() == reference_rng.random()
+
+    def test_planted_instance(self, count, seed):
+        reference_rng = random.Random(seed)
+        query = QueryGraph.clique(3)
+        density = density_for_solutions(query, count, 1.0)
+        reference = [reference_uniform_rects(count, density, reference_rng) for _ in range(3)]
+        expected = reference_plant_clique_solution(reference, reference_rng)
+        instance = planted_instance(query, count, seed=seed)
+        assert instance.planted == expected
+        assert [dataset.rects for dataset in instance.datasets] == reference

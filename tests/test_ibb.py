@@ -136,6 +136,24 @@ class TestBoundSeeding:
 
 
 class TestAnytimeBehaviour:
+    @pytest.mark.parametrize(
+        "fixture,assignment,node_reads,window_queries",
+        [
+            ("tiny_clique_instance", (3, 22, 23, 29), 6353, 3184),
+            ("tiny_chain_instance", (42, 0, 1, 23), 159, 79),
+            ("small_clique_instance", (0, 0, 382, 302, 305), 9131, 4500),
+        ],
+    )
+    def test_index_work_as_before_the_windows_moved_onto_the_stack(
+        self, request, fixture, assignment, node_reads, window_queries
+    ):
+        """Recorded on the commit before IBB carried its prefix's rectangles."""
+        instance = request.getfixturevalue(fixture)
+        result = indexed_branch_and_bound(instance, budget=Budget.iterations(3_000))
+        assert result.best_assignment == assignment
+        assert result.stats["index"]["node_reads"] == node_reads
+        assert result.stats["index"]["window_queries"] == window_queries
+
     def test_budget_exhaustion_returns_best_so_far(self):
         instance = hard_instance(QueryGraph.clique(4), 60, seed=13)
         result = indexed_branch_and_bound(instance, budget=Budget.iterations(500))
@@ -252,7 +270,7 @@ def assert_same_candidates(evaluator, rng, rounds):
                 edges = neighbors[:length]
                 stats = evaluator.trees[variable].stats
                 before = stats.snapshot()
-                got = list(_candidates(evaluator, variable, edges, values))
+                got = list(_candidates(evaluator, variable, edges, evaluator.rects_of(values)))
                 work = stats.diff(before)
                 before = stats.snapshot()
                 expected = list(reference_candidates(evaluator, variable, edges, values))

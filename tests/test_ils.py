@@ -53,6 +53,16 @@ class TestRuns:
         assert a.best_assignment == b.best_assignment
         assert a.best_violations == b.best_violations
 
+    def test_same_instance_same_search_as_before_the_columnar_table(self):
+        """Recorded on the commit before the object table became columns: the
+        generator draws the same bits and the search reads them in the same
+        order, so the run repeats exactly."""
+        instance = hard_instance(QueryGraph.clique(3), 2_000, seed=11)
+        result = indexed_local_search(instance, Budget.iterations(200), seed=3)
+        assert result.best_assignment == (960, 531, 1814)
+        assert result.stats["index"]["node_reads"] == 2340
+        assert result.stats["index"]["best_value_searches"] == 568
+
     def test_iteration_budget_respected(self, small_clique_instance):
         result = indexed_local_search(
             small_clique_instance, Budget.iterations(50), seed=0

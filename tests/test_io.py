@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import Rect, load_csv, load_npz, save_csv, save_npz, uniform_dataset
 from repro.data import SpatialDataset
+from repro.geometry import RectColumns
 from repro.index.queries import search_items
 
 
@@ -78,6 +80,47 @@ class TestCsv:
         path.write_text("xmin,ymin,xmax,ymax\n")
         with pytest.raises(ValueError, match="no rectangles"):
             load_csv(path)
+
+
+BAD_ROWS = {
+    "nan": (float("nan"), 0.0, 1.0, 1.0),
+    "infinite": (0.0, 0.0, float("inf"), 1.0),
+    "inverted_x": (1.0, 0.0, 0.5, 1.0),
+    "inverted_y": (0.0, 1.0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+class TestEveryLoaderValidates:
+    """One vectorised check (``RectColumns.validate``) behind every way in;
+    the message names the file and the first bad row."""
+
+    ROWS = [(0.0, 0.0, 1.0, 1.0)] * 3
+
+    def table(self, bad):
+        return np.array(self.ROWS + [BAD_ROWS[bad]] + self.ROWS)
+
+    def test_npz(self, bad, tmp_path):
+        path = tmp_path / "bad.npz"
+        np.savez_compressed(
+            path, coordinates=self.table(bad), workspace=np.array([0.0, 0, 1, 1]),
+            name=np.array("bad"),
+        )
+        with pytest.raises(ValueError, match=r"bad\.npz: row 3\b"):
+            load_npz(path)
+
+    def test_csv(self, bad, tmp_path):
+        path = tmp_path / "bad.csv"
+        lines = [",".join(repr(c) for c in row) for row in self.table(bad).tolist()]
+        path.write_text("xmin,ymin,xmax,ymax\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: row 3\b"):
+            load_csv(path)
+
+    def test_dataset(self, bad):
+        with pytest.raises(ValueError, match=r"row 3\b"):
+            SpatialDataset(RectColumns.from_bounds(self.table(bad)))
+        with pytest.raises(ValueError, match=r"row 3\b"):
+            SpatialDataset([Rect(*row) for row in self.table(bad).tolist()])
 
 
 class TestRebuiltIndexEquivalence:

@@ -24,7 +24,16 @@ from repro import (
 )
 from repro.core.evaluator import QueryEvaluator
 from repro.data import SpatialDataset
-from repro.geometry import INSIDE
+from repro.geometry import (
+    CONTAINS,
+    INSIDE,
+    INTERSECTS,
+    NORTHEAST,
+    SOUTHWEST,
+    SpatialPredicate,
+    WithinDistance,
+)
+from repro.index.queries import search_predicate
 from repro.index.node import Node
 from repro.joins import st as st_module
 from repro.joins import (
@@ -37,6 +46,7 @@ from repro.joins import (
     window_reduction_join,
 )
 from repro.joins.st import traverse_trees
+from repro.joins.wr import window_candidates
 from repro.query import ProblemInstance
 
 from conftest import _inserted, _never_inflated, _remutated, _unpacked
@@ -151,6 +161,63 @@ class TestWindowReduction:
         evaluator = QueryEvaluator(instance)
         expected = set(brute_force_join(instance, evaluator))
         assert set(window_reduction_join(instance, evaluator)) == expected
+
+
+class _SameParity(SpatialPredicate):
+    """A predicate type no kernel knows: the filter's scalar fallback."""
+
+    name = "same_parity"
+
+    def test(self, a: Rect, b: Rect) -> bool:
+        return int(a.xmin * 40) % 2 == int(b.xmin * 40) % 2
+
+    def node_may_satisfy(self, node_mbr: Rect, b: Rect) -> bool:
+        return True
+
+
+class TestWindowCandidatesFilter:
+    """``window_candidates`` against the filter over lists of rectangles it
+    used to be, hit order included, for every §7 predicate and one no kernel
+    knows."""
+
+    PREDICATES = [
+        INTERSECTS, INSIDE, CONTAINS, NORTHEAST, SOUTHWEST, WithinDistance(0.2), _SameParity(),
+    ]
+
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=lambda predicate: predicate.name)
+    def test_equals_the_scalar_filter(self, predicate):
+        query = QueryGraph(3).add_edge(0, 2).add_edge(2, 1, predicate).add_edge(0, 1)
+        rng = random.Random(predicate.name)
+        datasets = [
+            SpatialDataset(
+                [
+                    Rect.from_center(rng.random(), rng.random(), 0.3 * rng.random(), 0.3 * rng.random())
+                    for _ in range(250)
+                ],
+                max_entries=8,
+            )
+            for _ in range(3)
+        ]
+        evaluator = QueryEvaluator(ProblemInstance(query=query, datasets=datasets))
+        rects, edges = evaluator.rects, evaluator.neighbors[2]
+        assert [j for j, _predicate in edges] == [0, 1]
+        kept = dropped = 0
+        for _ in range(40):
+            values = evaluator.random_values(rng)
+            hits = [
+                item
+                for _rect, item in search_predicate(
+                    evaluator.trees[2], INTERSECTS, rects[0][values[0]]
+                )
+            ]
+            expected = [
+                item for item in hits if predicate.test(rects[2][item], rects[1][values[1]])
+            ]
+            windows = evaluator.rects_of(values)
+            assert window_candidates(evaluator, 2, edges, windows.__getitem__) == expected
+            kept += len(expected)
+            dropped += len(hits) - len(expected)
+        assert kept and dropped
 
 
 class TestSynchronousTraversal:

@@ -121,3 +121,92 @@ def test_core_and_joins_read_trees_through_packed_arrays(source):
 def test_the_guard_sees_the_sources():
     names = {path.name for path in exact_side_sources()}
     assert {"ibb.py", "best_value.py", "st.py", "pairwise.py", "wr.py", "pjm.py"} <= names
+
+
+# ----------------------------------------------------------------------
+# the object table is columns: what it may cost, and what the frozen
+# harness still does with it
+# ----------------------------------------------------------------------
+def _retained_bytes(build):
+    """Bytes still allocated after ``build()`` returns, and its result."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        result = build()
+        after, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return after - before, result
+
+
+def test_a_dataset_costs_under_120_bytes_per_object():
+    """Columns (32 B) + the packed tree's keys and item ids (≈ 43 B); with a
+    list of ``Rect`` as the table this window read ≈ 230 B, 265 B once the
+    columns were packed beside it."""
+    from repro import uniform_dataset
+
+    count = 20_000
+    retained, dataset = _retained_bytes(
+        lambda: uniform_dataset(count, 0.3, random.Random(0), extent_jitter=0.2)
+    )
+    assert len(dataset) == count
+    assert retained <= 120 * count
+
+
+def test_rect_views_retain_nothing():
+    from repro import QueryEvaluator, QueryGraph, hard_instance
+
+    instance = hard_instance(QueryGraph.clique(3), 5_000, seed=1)
+    evaluator = QueryEvaluator(instance)
+    dataset = instance.datasets[0]
+
+    def read_twice():
+        for _ in range(2):
+            rows = list(dataset.rects)
+            assert rows[17] == dataset[17] == evaluator.rects[0][17]
+            assert sum(1 for _rect in evaluator.rects[1]) == 5_000
+            del rows
+
+    retained, _ = _retained_bytes(read_twice)
+    assert retained < 4_096
+
+
+def test_harness_call_shapes_on_the_columnar_table():
+    """``perf/check.py``, ``perf/layers.py``, ``perf/library.py`` and
+    ``perf/serving.py`` read ``dataset.rects`` as a sequence of rectangles."""
+    import sys
+
+    from repro import QueryGraph, RStarTree, SpatialDataset, bulk_load, hard_instance, search
+
+    sys.path.insert(0, str(PERF))
+    try:
+        from check import Mirror
+    finally:
+        sys.path.remove(str(PERF))
+
+    instance = hard_instance(QueryGraph.clique(3), 300, seed=2)
+    dataset = instance.datasets[0]
+    entries = [(rect, object_id) for object_id, rect in enumerate(dataset.rects)]
+    assert len(entries) == 300 and entries[5] == (dataset[5], 5)
+    assert len(bulk_load(entries)) == 300
+    assert np.array(dataset.rects, dtype=np.float64).shape == (300, 4)
+
+    partner = instance.datasets[1].rects
+    window = partner[len(partner) - 1]
+    assert {item for _rect, item in search(dataset.tree, window)} == {
+        item for item, rect in enumerate(dataset.rects) if rect.intersects(window)
+    }
+
+    tree = RStarTree()
+    for object_id, rect in enumerate(dataset.rects):
+        tree.insert(rect, object_id)
+    grown = SpatialDataset(dataset.rects, name=dataset.name, tree=tree)
+    assert grown.rects == dataset.rects and grown.tree is tree
+
+    edges = [(i, j) for i, j, _predicate in instance.query.edges()]
+    mirror = Mirror([d.rects for d in instance.datasets], edges)
+    assert mirror.coordinates[2].shape == (300, 4)
+    assert np.array_equal(mirror.coordinates[2], Mirror.of(instance).coordinates[2])
+    assert mirror.coordinates[2][9].tolist() == list(instance.datasets[2][9])

@@ -8,6 +8,7 @@ graphs, not just the chains/cliques the paper evaluates.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +23,7 @@ from repro.core import (
     spatial_evolutionary_algorithm,
 )
 from repro.core.evaluator import QueryEvaluator
+from repro.core.solution import SolutionState
 from repro.joins import brute_force_best, brute_force_join, window_reduction_join
 
 
@@ -65,23 +67,42 @@ class TestExactJoinAgreement:
         assert result.stats["proven_optimal"]
 
 
+@contextmanager
+def every_move_checked():
+    """Every ``set_value`` of every state — climbing moves, SEA's crossover
+    copies, annealing's rejections — is followed by a full recount: counters
+    and carried rectangles against the datasets."""
+    plain = SolutionState.set_value
+
+    def checked(state, variable, object_id, rect=None):
+        plain(state, variable, object_id, rect)
+        state.check_consistency()
+
+    SolutionState.set_value = checked
+    try:
+        yield
+    finally:
+        SolutionState.set_value = plain
+
+
 class TestHeuristicContracts:
     @settings(**COMMON_SETTINGS)
     @given(random_instances(), st.integers(min_value=0, max_value=999))
     def test_all_heuristics_return_consistent_results(self, instance, seed):
         evaluator = QueryEvaluator(instance)
-        runs = [
-            indexed_local_search(instance, Budget.iterations(60), seed, evaluator=evaluator),
-            guided_indexed_local_search(
-                instance, Budget.iterations(60), seed, evaluator=evaluator
-            ),
-            spatial_evolutionary_algorithm(
-                instance, Budget.iterations(4), seed, evaluator=evaluator
-            ),
-            indexed_simulated_annealing(
-                instance, Budget.iterations(200), seed, evaluator=evaluator
-            ),
-        ]
+        with every_move_checked():
+            runs = [
+                indexed_local_search(instance, Budget.iterations(60), seed, evaluator=evaluator),
+                guided_indexed_local_search(
+                    instance, Budget.iterations(60), seed, evaluator=evaluator
+                ),
+                spatial_evolutionary_algorithm(
+                    instance, Budget.iterations(4), seed, evaluator=evaluator
+                ),
+                indexed_simulated_annealing(
+                    instance, Budget.iterations(200), seed, evaluator=evaluator
+                ),
+            ]
         for result in runs:
             values = list(result.best_assignment)
             # in-domain values

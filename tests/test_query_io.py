@@ -50,6 +50,18 @@ class TestInstanceRoundTrip:
         for original, loaded in zip(instance.datasets, restored.datasets):
             assert original.rects == loaded.rects
 
+    def test_columns_and_packed_keys_round_trip_bit_for_bit(self, tmp_path):
+        instance = hard_instance(QueryGraph.clique(3), 700, seed=5, extent_jitter=0.3)
+        save_instance(instance, tmp_path / "inst")
+        restored = load_instance(tmp_path / "inst")
+        for original, loaded in zip(instance.datasets, restored.datasets):
+            for mine, theirs in zip(original.columns.as_tuple(), loaded.columns.as_tuple()):
+                assert mine.tobytes() == theirs.tobytes()
+            built, rebuilt = original.tree.packed(), loaded.tree.packed()
+            assert built.keys.tobytes() == rebuilt.keys.tobytes()
+            assert built.entry_children.tobytes() == rebuilt.entry_children.tobytes()
+            assert built.node_offsets.tobytes() == rebuilt.node_offsets.tobytes()
+
     def test_planted_instance_keeps_planted_tuple(self, tmp_path):
         instance = planted_instance(QueryGraph.clique(3), 60, seed=2)
         save_instance(instance, tmp_path / "inst")

@@ -21,7 +21,9 @@ Four layers, matching the warm plane's architecture:
 from __future__ import annotations
 
 import asyncio
+import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from repro.core.gils import guided_indexed_local_search
 from repro.core.ils import indexed_local_search
 from repro.core.parallel import parallel_restarts
 from repro.core.two_step import HEURISTICS
-from repro.data import SpatialDataset
+from repro.data import SpatialDataset, uniform_dataset
 from repro.faults.plan import FaultPlan
 from repro.query.hardness import ProblemInstance
 from repro.service import DatasetRegistry, JoinClient, JoinServer
@@ -197,6 +199,33 @@ class TestWarmPlane:
                 # the shared pages, not private rebuilt arrays
                 assert shared.flags.writeable is False
                 assert shared.base is not None
+        finally:
+            manager.shutdown()
+            report = plane.shutdown()
+        assert report["leaked"] == []
+
+    def test_attach_mints_nothing_per_row(self):
+        """The attached dataset *is* the shared columns: no object per row,
+        so attaching 20 000 objects retains less than one row's worth of
+        Python objects per hundred rows."""
+        dataset = uniform_dataset(20_000, 0.3, random.Random(2))
+        plane = WarmPlane()
+        manager = SegmentManager()
+        try:
+            spec = plane.publish("big", dataset)
+            tracemalloc.start()
+            try:
+                before, _peak = tracemalloc.get_traced_memory()
+                attached = attach_dataset(spec, manager=manager)
+                after, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert after - before < 64 * 1024
+            segment = manager.attach(spec.columns)
+            assert np.shares_memory(attached.columns.xmin, segment)
+            assert np.shares_memory(attached.rects.ymax, segment)
+            manager.release(spec.columns.name)
+            assert attached[19_999] == dataset[19_999]
         finally:
             manager.shutdown()
             report = plane.shutdown()
