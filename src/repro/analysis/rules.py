@@ -28,7 +28,7 @@ RL010             blocking calls transitively reachable from ``async
 RL011             attached warm-plane arrays flowing into in-place
                   NumPy mutation without ``.copy()``
 RL012             non-spec values crossing the process-pool pickle
-                  boundary (``submit``/``run_specs*``/``SolveJob``)
+                  boundary (``submit``/``run_specs``/``SolveJob``)
 RL013             ``fault_point`` sites not declared in
                   ``faults/hooks.py``, and declared-but-dead sites
 RL014             benchmark results written with raw ``json.dump``
@@ -1037,7 +1037,7 @@ class AttachedArrayMutation(ProjectChecker):
 class PickleBoundary(ProjectChecker):
     """Payloads shipped to pool workers must come from the spec vocabulary.
 
-    ``ProcessPoolExecutor.submit`` / ``run_specs*`` / ``SolveJob`` all
+    ``ProcessPoolExecutor.submit`` / ``run_specs`` / ``SolveJob`` all
     pickle their arguments into another process.  Closures, locks, open
     sockets/files, ``SharedMemory`` handles and live tree ``Node``s
     either fail to pickle at dispatch time or — worse — pickle a copy
@@ -1051,7 +1051,7 @@ class PickleBoundary(ProjectChecker):
     description = "non-spec value crosses the process-pool pickle boundary"
 
     BOUNDARY_TAILS = (".submit",)
-    BOUNDARY_NAMES = frozenset({"run_specs", "run_specs_supervised", "SolveJob"})
+    BOUNDARY_NAMES = frozenset({"run_specs", "SolveJob"})
     SPEC_METHODS = frozenset({"spec", "from_spec", "to_dict", "from_dict"})
     #: constructions that must never be pickled
     FORBIDDEN_EXACT = frozenset(

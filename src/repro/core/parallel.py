@@ -20,15 +20,22 @@ budgets remain timing-dependent, exactly as in sequential runs.
 
 Supervision
 -----------
-Member execution is supervised: a worker crash (``BrokenProcessPool``), a
-hang (no completion within :attr:`SupervisionPolicy.hang_timeout`), an
-injected error, or a corrupt result loses only the *unfinished* members.
-Those members are re-dispatched — to the same pool when it survived, to a
-rebuilt pool (bounded by :attr:`SupervisionPolicy.max_rebuilds`, with
-exponential backoff) when it did not.  A retried member re-runs from its
-derived seed, so recovery never perturbs worker-count-independent
-determinism.  While fault injection is active (or ``checkpoints=True``),
-members stream incumbent improvements back through a manager queue via
+One loop, :func:`_supervise`, runs the members on an executor: the process
+pool, or — for ``workers=1`` or a single spec — an in-process executor whose
+``submit`` runs the member before returning.  A member-level fault (an
+injected error, an invalid result, and inline an injected crash) retries
+that member on the same executor.  An executor-level fault (a dead worker,
+or no member completing within :attr:`SupervisionPolicy.hang_timeout`)
+terminates the pool, charges its culprits — the member a worker killed by
+an injected crash names before it exits, else every unfinished member — and
+re-dispatches the unfinished members to a rebuilt pool after a capped
+exponential backoff.  Every charge spends one of the member's
+:attr:`SupervisionPolicy.member_retries`, which is what bounds rebuilds.
+A retried member re-runs from its derived seed, so recovery never perturbs
+worker-count-independent determinism.
+
+While a fault plan is active (:func:`repro.faults.inject`), members stream
+incumbent improvements back through a queue via
 :func:`repro.faults.checkpoint_incumbent`; a member whose retries are
 exhausted is synthesised from its best checkpoint, so
 :func:`parallel_restarts` returns the best solution observed *before* the
@@ -44,13 +51,17 @@ limits, never callables or live ``Budget`` objects.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import multiprocessing
 import os
 import queue as queue_module
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED, BrokenExecutor, Executor, Future, ProcessPoolExecutor, wait,
+)
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from ..faults import (
     SITE_MEMBER_PROGRESS,
@@ -64,7 +75,6 @@ from ..faults import (
     checkpointing,
     corruption_at,
     fault_point,
-    inject,
 )
 from ..obs import Observation, collect_exports, current, export_state, merge_states, observe, replay_into
 from ..query import ProblemInstance
@@ -79,7 +89,6 @@ __all__ = [
     "default_workers",
     "parallel_restarts",
     "run_specs",
-    "run_specs_supervised",
 ]
 
 #: violations sentinel for a member lost beyond recovery: large enough to
@@ -89,6 +98,10 @@ LOST_MEMBER_VIOLATIONS = 2**31
 #: exit code of a worker process killed by an injected crash
 CRASH_EXIT_CODE = 17
 
+#: backoff slept before pool rebuild ``k``: ``min(cap, base · 2^(k-1))`` s
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 1.0
+
 
 def derive_seed(base_seed: int, index: int) -> int:
     """A stable 64-bit seed for member ``index`` of a run seeded ``base_seed``.
@@ -96,9 +109,7 @@ def derive_seed(base_seed: int, index: int) -> int:
     Hash-derived (BLAKE2b) rather than ``base_seed + index`` so that member
     streams are decorrelated and independent of Python's salted ``hash``.
     """
-    digest = hashlib.blake2b(
-        f"{base_seed}:{index}".encode(), digest_size=8
-    ).digest()
+    digest = hashlib.blake2b(f"{base_seed}:{index}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -131,143 +142,147 @@ class SupervisionPolicy:
         Re-dispatches any one member may consume (injected or real).  A
         member beyond this is synthesised from its best checkpoint (or a
         lost-member sentinel) instead of failing the whole run.
-    ``max_rebuilds``
-        Pool rebuilds (after a crash or hang) before giving up on the
-        members still unfinished.
-    ``backoff_base`` / ``backoff_cap``
-        Exponential backoff slept before each rebuild:
-        ``min(cap, base · 2^(rebuild-1))`` seconds.
     ``hang_timeout``
         Hang detection: when *no* member completes within this many
         seconds, the pool is declared wedged, its processes are
         terminated, and unfinished members are re-dispatched.  ``None``
         (the default) disables detection — correct for wall-clock budgets
-        where "no news for a while" is normal.
+        where "no news for a while" is normal.  Inline members cannot be
+        interrupted, so there a hang only makes the run slow.
     """
 
     member_retries: int = 2
-    max_rebuilds: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
     hang_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.member_retries < 0:
             raise ValueError(f"member_retries must be >= 0, got {self.member_retries}")
-        if self.max_rebuilds < 0:
-            raise ValueError(f"max_rebuilds must be >= 0, got {self.max_rebuilds}")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff must be non-negative")
         if self.hang_timeout is not None and self.hang_timeout <= 0:
             raise ValueError(f"hang_timeout must be positive, got {self.hang_timeout}")
 
-    def backoff(self, rebuild: int) -> float:
-        return min(self.backoff_cap, self.backoff_base * (2.0 ** max(0, rebuild - 1)))
-
 
 @dataclass(frozen=True)
-class _MemberTask:
-    """One dispatch of one member: the spec plus its retry attempt."""
+class _MemberEnv:
+    """What a member body needs besides its spec and attempt.
 
-    spec: RunSpec
-    attempt: int
+    ``sink`` receives ``(index, checkpoint)`` records — ``(index, None)``
+    names a member whose pool worker dies of an injected crash — and is
+    ``None`` (nothing recorded) unless a fault plan is active.
+    """
+
+    instance: ProblemInstance
+    evaluator: QueryEvaluator
+    observe: bool
+    sink: Any
 
 
 class _PoolHang(RuntimeError):
     """No member completed within the supervision hang timeout."""
 
 
+class _InlineExecutor(Executor):
+    """An executor whose ``submit`` runs the call before returning.
+
+    The ``workers=1`` path: no process, thread or pickling.  Injected
+    member faults travel in the future exactly as a pool delivers them;
+    anything else propagates from ``submit`` itself.
+    """
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future[Any]:
+        future: Future[Any] = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except (InjectedCrash, InjectedError) as fault:
+            future.set_exception(fault)
+        return future
+
+
 #: checkpoint payload: (violations, similarity, values, elapsed, iterations)
 _Checkpoint = tuple[int, float, tuple[int, ...], float, int]
 
 
-class _CheckpointRecorder:
-    """Receives :func:`checkpoint_incumbent` calls for one member attempt.
+def _checkpoint_recorder(index: int, attempt: int, sink: Any) -> Callable[..., None]:
+    """The :func:`checkpoint_incumbent` hook for one member attempt.
 
-    Forwards every improvement to the recovery channel (an in-process
-    store inline, a manager queue inside pool workers) *before* firing the
+    Posts every improvement to the sink *before* firing the
     ``parallel.member.progress`` fault site, so a crash injected at the
     k-th improvement finds the first k already published.
     """
+    hits = itertools.count(1)
 
-    __slots__ = ("index", "attempt", "store", "sink", "hits")
-
-    def __init__(
-        self,
-        index: int,
-        attempt: int,
-        store: dict[int, _Checkpoint] | None = None,
-        sink: Any = None,
-    ) -> None:
-        self.index = index
-        self.attempt = attempt
-        self.store = store
-        self.sink = sink
-        self.hits = 0
-
-    def __call__(
-        self,
-        values: Sequence[int],
-        violations: int,
-        similarity: float,
-        elapsed: float,
+    def record(
+        values: Sequence[int], violations: int, similarity: float, elapsed: float,
         iterations: int,
     ) -> None:
-        self.hits += 1
         checkpoint: _Checkpoint = (
             int(violations), float(similarity), tuple(values), float(elapsed),
             int(iterations),
         )
-        if self.store is not None:
-            _keep_best_checkpoint(self.store, self.index, checkpoint)
-        if self.sink is not None:
-            self.sink.put((self.index,) + checkpoint)
-        fault_point(
-            SITE_MEMBER_PROGRESS, index=self.index, attempt=self.attempt, hit=self.hits
-        )
+        sink.put((index, checkpoint))
+        fault_point(SITE_MEMBER_PROGRESS, index=index, attempt=attempt, hit=next(hits))
+
+    return record
 
 
-def _keep_best_checkpoint(
-    store: dict[int, _Checkpoint], index: int, checkpoint: _Checkpoint
-) -> None:
-    best = store.get(index)
-    if best is None or checkpoint[0] < best[0]:
-        store[index] = checkpoint
+def _drain_checkpoints(sink: Any, store: dict[int, _Checkpoint]) -> set[int]:
+    """Keep each member's best posted checkpoint in ``store``.
+
+    Returns the members whose pool worker reported an injected crash (a
+    worker posts that before it exits, so it is queued by the time the
+    pool reads as broken).  A record still in flight from a terminated
+    bystander is picked up by the final drain.
+    """
+    crashed: set[int] = set()
+    if sink is None:
+        return crashed
+    while not sink.empty():
+        index, checkpoint = sink.get_nowait()
+        if checkpoint is None:
+            crashed.add(index)
+        elif index not in store or checkpoint[0] < store[index][0]:
+            store[index] = checkpoint
+    return crashed
 
 
 class _FaultLedger:
-    """Accumulates recovery activity for ``stats["faults"]`` and obs."""
+    """Member attempts and the recovery activity behind ``stats["faults"]`` and obs.
 
-    def __init__(self) -> None:
-        self.counts = {
-            "crashes": 0,
-            "hangs": 0,
-            "corruptions": 0,
-            "errors": 0,
-            "retries": 0,
-            "rebuilds": 0,
-        }
+    Counts are per fault; events are per charged member, each recording
+    the attempt that member was on.
+    """
+
+    _KIND_COUNTS = {
+        "crash": "crashes", "hang": "hangs", "corrupt": "corruptions", "error": "errors",
+    }
+
+    def __init__(self, members: Sequence[int], member_retries: int) -> None:
+        self.attempts = dict.fromkeys(members, 0)
+        self.member_retries = member_retries
+        self.counts = dict.fromkeys(
+            ("crashes", "hangs", "corruptions", "errors", "retries", "rebuilds"), 0
+        )
         self.events: list[dict[str, Any]] = []
         self.recovered_members: list[int] = []
         self.lost_members: list[int] = []
 
-    _KIND_COUNTS = {
-        "crash": "crashes",
-        "hang": "hangs",
-        "corrupt": "corruptions",
-        "error": "errors",
-    }
+    def may_retry(self, index: int) -> bool:
+        return self.attempts[index] <= self.member_retries
 
-    def record(self, kind: str, members: Sequence[int], attempt: int) -> None:
+    def charge(self, kind: str, members: Sequence[int]) -> None:
+        """One fault of ``kind``; each member spends the attempt it was on."""
         self.counts[self._KIND_COUNTS[kind]] += 1
-        self.events.append(
-            {"kind": kind, "members": sorted(members), "attempt": attempt}
-        )
+        for index in members:
+            self.events.append(
+                {"kind": kind, "member": index, "attempt": self.attempts[index]}
+            )
+            self.attempts[index] += 1
+            if self.may_retry(index):
+                self.counts["retries"] += 1
 
-    def any(self) -> bool:
-        return bool(self.events) or any(self.counts.values())
-
-    def report(self) -> dict[str, Any]:
+    def report(self) -> dict[str, Any] | None:
+        """The ``stats["faults"]`` dict, or ``None`` when nothing faulted."""
+        if not any(self.counts.values()):
+            return None
         report: dict[str, Any] = dict(self.counts)
         report["events"] = list(self.events)
         report["recovered_members"] = sorted(self.recovered_members)
@@ -278,103 +293,71 @@ class _FaultLedger:
 # Per-process state: the instance and its evaluator are materialised once per
 # worker (pool initializer) instead of once per task, so shipping a large
 # instance costs one pickle per core, not one per restart.
-_WORKER_INSTANCE: ProblemInstance | None = None
-_WORKER_EVALUATOR: QueryEvaluator | None = None
-_WORKER_OBSERVE: bool = False
-_WORKER_CHECKPOINTS: Any = None
+_WORKER_ENV: _MemberEnv | None = None
 
 
 def _init_worker(
-    instance: ProblemInstance | None,
-    observe_members: bool = False,
-    fault_plan: dict[str, Any] | None = None,
-    checkpoint_queue: Any = None,
-    warm: Any = None,
+    instance: ProblemInstance,
+    observe_members: bool,
+    fault_plan: dict[str, Any] | None,
+    sink: Any,
 ) -> None:
-    """Pool initializer; ``warm`` (a :class:`~repro.warm.plane.WarmInstanceSpec`)
-    replaces the pickled ``instance`` with an attach to published shared
-    memory — the attach-don't-rebuild path of the warm plane.  Pool rebuilds
-    reuse the same initargs, so recovered workers re-attach to the *same*
-    segments; nothing is re-published."""
-    global _WORKER_INSTANCE, _WORKER_EVALUATOR, _WORKER_OBSERVE, _WORKER_CHECKPOINTS
-    if instance is None:
-        assert warm is not None, "pool initializer needs an instance or a warm spec"
-        from ..warm.plane import attach_instance  # local: warm/ is optional here
-
-        instance = attach_instance(warm)
-    _WORKER_INSTANCE = instance
-    _WORKER_EVALUATOR = QueryEvaluator(instance)
-    _WORKER_OBSERVE = observe_members
-    _WORKER_CHECKPOINTS = checkpoint_queue
+    global _WORKER_ENV
+    _WORKER_ENV = _MemberEnv(instance, QueryEvaluator(instance), observe_members, sink)
     activate_plan(FaultPlan.from_dict(fault_plan))
 
 
-def _run_member_in_worker(task: _MemberTask) -> RunResult:
-    """Pool-worker entry point for one supervised member dispatch.
+def _run_member_in_worker(spec: RunSpec, attempt: int) -> RunResult:
+    """Pool-worker entry point for one member dispatch.
 
-    An injected crash becomes a genuine dead process (``os._exit``) so the
-    parent exercises the real ``BrokenProcessPool`` recovery path, not a
-    simulation of it.
+    An injected crash names its member through the sink, then becomes a
+    genuine dead process (``os._exit``) so the parent exercises the real
+    ``BrokenProcessPool`` recovery path, not a simulation of it.
     """
-    assert _WORKER_INSTANCE is not None and _WORKER_EVALUATOR is not None
-    spec, attempt = task.spec, task.attempt
+    env = _WORKER_ENV
+    assert env is not None
     try:
-        recorder: _CheckpointRecorder | None = None
-        if _WORKER_CHECKPOINTS is not None or active_plan() is not None:
-            recorder = _CheckpointRecorder(
-                spec.index, attempt, sink=_WORKER_CHECKPOINTS
-            )
-        with checkpointing(recorder):
-            fault_point(SITE_MEMBER_START, index=spec.index, attempt=attempt)
-            result = _observed_spec_run(
-                spec, _WORKER_INSTANCE, _WORKER_EVALUATOR, _WORKER_OBSERVE
-            )
-        if corruption_at(SITE_MEMBER_RESULT, index=spec.index, attempt=attempt):
-            result = replace(result, best_violations=-1)
-        return result
+        return _run_member(spec, attempt, env)
     except InjectedCrash:
+        env.sink.put((spec.index, None))  # crashes only fire under a plan
         os._exit(CRASH_EXIT_CODE)
-        raise  # pragma: no cover - unreachable
 
 
-def _observed_spec_run(
-    spec: RunSpec,
-    instance: ProblemInstance,
-    evaluator: QueryEvaluator,
-    observe_members: bool,
-) -> RunResult:
-    """Run one spec, optionally under a fresh per-member observation.
+def _run_member(spec: RunSpec, attempt: int, env: _MemberEnv) -> RunResult:
+    """One member attempt, on either executor.
 
-    The member's metrics and events are exported as a picklable payload in
-    ``result.stats["obs"]``; the parent pops and merges these (see
-    :mod:`repro.obs.aggregate`).  Used identically by the inline path and
-    the pool workers so merged output is worker-count independent.
+    Fires the start fault site, runs the spec with incumbents checkpointed
+    (while a plan is active) and — when the parent observes — under a fresh
+    per-member observation exported in ``result.stats["obs"]``, then applies
+    any injected result corruption.
     """
-    if not observe_members:
-        return _execute_spec(spec, instance, evaluator)
-    with observe(Observation()) as member_observation:
-        result = _execute_spec(spec, instance, evaluator)
-    result.stats["obs"] = export_state(member_observation)
+    recorder = None
+    if env.sink is not None:
+        recorder = _checkpoint_recorder(spec.index, attempt, env.sink)
+    with checkpointing(recorder):
+        fault_point(SITE_MEMBER_START, index=spec.index, attempt=attempt)
+        if env.observe:
+            with observe(Observation()) as member_observation:
+                result = _execute_spec(spec, env)
+            result.stats["obs"] = export_state(member_observation)
+        else:
+            result = _execute_spec(spec, env)
+    if corruption_at(SITE_MEMBER_RESULT, index=spec.index, attempt=attempt):
+        result = replace(result, best_violations=-1)
     return result
 
 
-def _execute_spec(
-    spec: RunSpec, instance: ProblemInstance, evaluator: QueryEvaluator
-) -> RunResult:
+def _execute_spec(spec: RunSpec, env: _MemberEnv) -> RunResult:
     from .two_step import HEURISTICS  # local import: avoids a module cycle
 
     try:
         runner = HEURISTICS[spec.heuristic]
     except KeyError:
         known = ", ".join(sorted(HEURISTICS))
-        raise ValueError(
-            f"unknown heuristic {spec.heuristic!r}; known: {known}"
-        ) from None
-    if spec.warm_start is not None:
-        return runner(
-            instance, spec.budget(), spec.seed, evaluator, warm_start=spec.warm_start
-        )
-    return runner(instance, spec.budget(), spec.seed, evaluator)
+        raise ValueError(f"unknown heuristic {spec.heuristic!r}; known: {known}") from None
+    return runner(
+        env.instance, spec.budget(), spec.seed, env.evaluator, warm_start=spec.warm_start
+    )
 
 
 def _result_is_valid(result: Any, num_variables: int) -> bool:
@@ -391,13 +374,20 @@ def _result_is_valid(result: Any, num_variables: int) -> bool:
     return not assignment or len(assignment) == num_variables
 
 
-def _result_from_checkpoint(spec: RunSpec, checkpoint: _Checkpoint) -> RunResult:
-    """Synthesise a member's result from its best streamed incumbent."""
-    violations, similarity, values, elapsed, iterations = checkpoint
+def _synthesised_result(spec: RunSpec, checkpoint: _Checkpoint | None) -> RunResult:
+    """A member's result rebuilt from its best streamed incumbent — or, with
+    none, the lost-member sentinel, which loses every reduction."""
     trace = ConvergenceTrace()
-    trace.record(elapsed, iterations, violations, similarity)
+    if checkpoint is None:
+        label = "lost"
+        violations, similarity, values = LOST_MEMBER_VIOLATIONS, 0.0, ()
+        elapsed, iterations = 0.0, 0
+    else:
+        label = "checkpoint"
+        violations, similarity, values, elapsed, iterations = checkpoint
+        trace.record(elapsed, iterations, violations, similarity)
     return RunResult(
-        algorithm=f"{spec.heuristic}(checkpoint)",
+        algorithm=f"{spec.heuristic}({label})",
         best_assignment=values,
         best_violations=violations,
         best_similarity=similarity,
@@ -405,40 +395,11 @@ def _result_from_checkpoint(spec: RunSpec, checkpoint: _Checkpoint) -> RunResult
         iterations=iterations,
         milestones=0,
         trace=trace,
-        stats={"checkpoint": True},
+        stats={label: True},
     )
 
 
-def _lost_member_result(spec: RunSpec) -> RunResult:
-    """Sentinel result for a member lost beyond recovery (no checkpoint)."""
-    return RunResult(
-        algorithm=f"{spec.heuristic}(lost)",
-        best_assignment=(),
-        best_violations=LOST_MEMBER_VIOLATIONS,
-        best_similarity=0.0,
-        elapsed=0.0,
-        iterations=0,
-        milestones=0,
-        trace=ConvergenceTrace(),
-        stats={"lost": True},
-    )
-
-
-def _drain_checkpoints(sink: Any, store: dict[int, _Checkpoint]) -> None:
-    if sink is None:
-        return
-    draining = True
-    while draining:
-        try:
-            payload = sink.get_nowait()
-        except queue_module.Empty:
-            draining = False
-        else:
-            index = int(payload[0])
-            _keep_best_checkpoint(store, index, tuple(payload[1:]))  # type: ignore[arg-type]
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+def _terminate_pool(pool: Executor) -> None:
     """Abandon a broken or wedged pool without waiting on its workers."""
     pool.shutdown(wait=False, cancel_futures=True)
     processes = getattr(pool, "_processes", None)
@@ -454,230 +415,81 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 # ----------------------------------------------------------------------
 # supervised execution
 # ----------------------------------------------------------------------
-def _supervised_inline_run(
-    instance: ProblemInstance,
+def _supervise(
     specs: list[RunSpec],
-    evaluator: QueryEvaluator,
-    observe_members: bool,
-    plan: FaultPlan | None,
-    policy: SupervisionPolicy,
-    want_checkpoints: bool,
+    new_executor: Callable[[int], Executor],
+    run: Callable[[RunSpec, int], RunResult],
+    num_variables: int,
+    hang_timeout: float | None,
     ledger: _FaultLedger,
-    checkpoints: dict[int, _Checkpoint],
+    drain: Callable[[], set[int]],
 ) -> dict[int, RunResult]:
-    """Reference single-process path with the same recovery semantics.
+    """Run every spec to a valid result or until its retries run out.
 
-    Hang faults cannot be interrupted without a second thread of control,
-    so inline they degrade to ``slow``; every other fault kind retries and
-    checkpoint-recovers exactly like the pool path.
+    ``new_executor(n)`` builds an executor for ``n`` members; ``run`` is
+    the member body it executes; ``drain`` collects checkpoints and returns
+    the members that reported an injected crash.  Returns the valid results
+    by member index — members missing from it exhausted their retries and
+    are synthesised by the caller.
     """
+    spec_of = {spec.index: spec for spec in specs}
     results: dict[int, RunResult] = {}
-    # the plan may have been passed explicitly rather than ambiently; the
-    # hooks read process-global state, so (re-)activate it for the run
-    with inject(plan):
-        for spec in specs:
-            # bounded retry loop, not a search loop: one clean attempt plus
-            # member_retries re-runs; exhausted members are synthesised from
-            # checkpoints by the caller
-            for attempt in range(policy.member_retries + 1):
-                recorder: _CheckpointRecorder | None = None
-                if want_checkpoints or plan is not None:
-                    recorder = _CheckpointRecorder(
-                        spec.index, attempt, store=checkpoints
-                    )
-                failure: str | None = None
-                try:
-                    with checkpointing(recorder):
-                        fault_point(
-                            SITE_MEMBER_START, index=spec.index, attempt=attempt
-                        )
-                        result = _observed_spec_run(
-                            spec, instance, evaluator, observe_members
-                        )
-                    if corruption_at(
-                        SITE_MEMBER_RESULT, index=spec.index, attempt=attempt
-                    ) or not _result_is_valid(result, instance.num_variables):
-                        failure = "corrupt"
-                except InjectedCrash:
-                    failure = "crash"
-                except InjectedError:
-                    failure = "error"
-                if failure is None:
-                    results[spec.index] = result
-                    break
-                ledger.record(failure, [spec.index], attempt)
-                if attempt < policy.member_retries:
-                    ledger.counts["retries"] += 1
-    return results
 
-
-def _supervised_pool_run(
-    instance: ProblemInstance,
-    specs: list[RunSpec],
-    workers: int,
-    observe_members: bool,
-    plan: FaultPlan | None,
-    policy: SupervisionPolicy,
-    want_checkpoints: bool,
-    ledger: _FaultLedger,
-    checkpoints: dict[int, _Checkpoint],
-    warm: Any = None,
-) -> dict[int, RunResult]:
-    """Run specs on a supervised process pool; returns completed results.
-
-    Members missing from the returned mapping exhausted their retries (or
-    the rebuild budget ran out); the caller synthesises them from
-    checkpoints.
-    """
-    spec_by_index = {spec.index: spec for spec in specs}
-    attempts = {spec.index: 0 for spec in specs}
-    exhausted: set[int] = set()
-    results: dict[int, RunResult] = {}
-    plan_payload = plan.to_dict() if plan is not None else None
-
-    manager = None
-    sink = None
-    if want_checkpoints:
-        # a Manager queue proxy pickles through initargs (a raw
-        # multiprocessing.Queue does not); the manager process is only paid
-        # for when recovery is wanted
-        manager = multiprocessing.Manager()
-        sink = manager.Queue()
+    def unfinished() -> list[int]:
+        return [i for i in spec_of if i not in results and ledger.may_retry(i)]
 
     rebuilds = 0
-    try:
-        todo = sorted(spec_by_index)
-        while todo:
-            # with a warm spec the instance never pickles through initargs:
-            # workers attach to the published segments instead, and every
-            # rebuild re-attaches to the same ones
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(todo)),
-                initializer=_init_worker,
-                initargs=(
-                    None if warm is not None else instance,
-                    observe_members,
-                    plan_payload,
-                    sink,
-                    warm,
-                ),
-            )
-            failure: str | None = None
-            try:
-                futures = {
-                    pool.submit(
-                        _run_member_in_worker,
-                        _MemberTask(spec_by_index[index], attempts[index]),
-                    ): index
-                    for index in todo
-                }
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = wait(
-                        not_done,
-                        timeout=policy.hang_timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if not done:
-                        raise _PoolHang()
-                    crashed = False
-                    for future in done:
-                        index = futures.pop(future)
-                        try:
-                            result = future.result()
-                        except BrokenExecutor:
-                            crashed = True
-                            continue
-                        except InjectedError:
-                            # raised inside a healthy worker: the pool
-                            # survives, only this member retries
-                            _retry_on_pool(
-                                pool, futures, not_done, spec_by_index, attempts,
-                                exhausted, policy, ledger, index, "error",
-                            )
-                            continue
-                        if not _result_is_valid(result, instance.num_variables):
-                            _retry_on_pool(
-                                pool, futures, not_done, spec_by_index, attempts,
-                                exhausted, policy, ledger, index, "corrupt",
-                            )
-                            continue
-                        results[index] = result
-                    if crashed:
-                        raise BrokenExecutor("worker process died mid-run")
-                pool.shutdown(wait=True)
-            except BrokenExecutor:
-                failure = "crash"
-                _terminate_pool(pool)
-            except _PoolHang:
-                failure = "hang"
-                _terminate_pool(pool)
-            except BaseException:
-                _terminate_pool(pool)
-                raise
-            if failure is not None:
-                # -- pool-level failure: charge unfinished members, rebuild
-                _drain_checkpoints(sink, checkpoints)
-                unfinished = [
-                    index
-                    for index in todo
-                    if index not in results and index not in exhausted
-                ]
-                ledger.record(failure, unfinished, rebuilds)
-                for index in unfinished:
-                    attempts[index] += 1
-                    if attempts[index] > policy.member_retries:
-                        exhausted.add(index)
+    todo = unfinished()
+    while todo:
+        executor = new_executor(len(todo))
+        pending: dict[Future[RunResult], int] = {}
+        try:
+            while todo or pending:
+                for index in todo:
+                    pending[executor.submit(run, spec_of[index], ledger.attempts[index])] = index
+                todo = []
+                done, _ = wait(pending, timeout=hang_timeout, return_when=FIRST_COMPLETED)
+                if not done:
+                    raise _PoolHang()
+                broken = False
+                for future in done:
+                    index = pending.pop(future)
+                    try:
+                        result = future.result()
+                    except BrokenExecutor:
+                        broken = True
+                        continue
+                    except InjectedCrash:  # inline only: a pool worker exits
+                        kind = "crash"
+                    except InjectedError:
+                        kind = "error"
                     else:
-                        ledger.counts["retries"] += 1
-                remaining = [
-                    index for index in unfinished if index not in exhausted
-                ]
-                if remaining:
-                    if rebuilds >= policy.max_rebuilds:
-                        exhausted.update(remaining)
-                        break
-                    rebuilds += 1
-                    ledger.counts["rebuilds"] += 1
-                    backoff = policy.backoff(rebuilds)
-                    if backoff > 0:
-                        time.sleep(backoff)
-            todo = [
-                index
-                for index in todo
-                if index not in results and index not in exhausted
-            ]
-    finally:
-        _drain_checkpoints(sink, checkpoints)
-        if manager is not None:
-            manager.shutdown()
+                        if _result_is_valid(result, num_variables):
+                            results[index] = result
+                            continue
+                        kind = "corrupt"
+                    # member-level fault: retry on the same executor
+                    ledger.charge(kind, [index])
+                    if ledger.may_retry(index):
+                        todo.append(index)
+                if broken:
+                    raise BrokenExecutor("worker process died mid-run")
+            executor.shutdown(wait=True)
+        except (BrokenExecutor, _PoolHang) as failure:
+            # executor-level fault: charge the culprits, rebuild for the rest
+            _terminate_pool(executor)
+            todo = unfinished()
+            named = sorted(drain().intersection(todo))
+            ledger.charge("hang" if isinstance(failure, _PoolHang) else "crash", named or todo)
+            todo = unfinished()
+            if todo:
+                rebuilds += 1
+                ledger.counts["rebuilds"] += 1
+                time.sleep(min(BACKOFF_CAP, BACKOFF_BASE * 2.0 ** (rebuilds - 1)))
+        except BaseException:
+            _terminate_pool(executor)
+            raise
     return results
-
-
-def _retry_on_pool(
-    pool: ProcessPoolExecutor,
-    futures: dict[Any, int],
-    not_done: set[Any],
-    spec_by_index: dict[int, RunSpec],
-    attempts: dict[int, int],
-    exhausted: set[int],
-    policy: SupervisionPolicy,
-    ledger: _FaultLedger,
-    index: int,
-    kind: str,
-) -> None:
-    """Re-dispatch one faulted member onto the still-healthy pool."""
-    ledger.record(kind, [index], attempts[index])
-    attempts[index] += 1
-    if attempts[index] > policy.member_retries:
-        exhausted.add(index)
-        return
-    ledger.counts["retries"] += 1
-    future = pool.submit(
-        _run_member_in_worker, _MemberTask(spec_by_index[index], attempts[index])
-    )
-    futures[future] = index
-    not_done.add(future)
 
 
 def run_specs(
@@ -685,103 +497,136 @@ def run_specs(
     specs: list[RunSpec],
     workers: int | None = None,
     evaluator: QueryEvaluator | None = None,
-    observe_members: bool | None = None,
-    fault_plan: FaultPlan | None = None,
     supervision: SupervisionPolicy | None = None,
-    checkpoints: bool | None = None,
-    warm: Any = None,
-) -> list[RunResult]:
-    """Execute ``specs`` and return their results in spec order.
+) -> tuple[list[RunResult], dict[str, Any] | None]:
+    """Execute ``specs`` under supervision: results in spec order, fault report.
 
     ``workers=1`` (or a single spec) runs inline in this process — no pool,
-    no pickling — which is also the reference behaviour the determinism
-    tests compare multi-worker runs against.
+    no pickling, one member call per spec in spec order while nothing
+    faults — which is also the reference behaviour the determinism tests
+    compare multi-worker runs against.
 
-    ``observe_members=None`` observes members exactly when the calling
-    process has an active observation; each member then ships its metrics
-    and events back in ``result.stats["obs"]``.
+    Members are observed exactly when the calling process has an active
+    observation; each then ships its metrics and events back in
+    ``result.stats["obs"]``.  Faults fire from the ambient plan
+    (:func:`repro.faults.inject`), and incumbents are checkpointed exactly
+    while one is active.  ``supervision`` defaults to
+    :class:`SupervisionPolicy`'s defaults.
 
-    ``warm`` (a :class:`~repro.warm.plane.WarmInstanceSpec`) makes pool
-    workers attach to published shared-memory segments instead of
-    receiving the pickled ``instance``; the inline path ignores it (the
-    caller already holds the instance).
-
-    See :func:`run_specs_supervised` for the fault-handling parameters.
-    """
-    results, _ = run_specs_supervised(
-        instance,
-        specs,
-        workers=workers,
-        evaluator=evaluator,
-        observe_members=observe_members,
-        fault_plan=fault_plan,
-        supervision=supervision,
-        checkpoints=checkpoints,
-        warm=warm,
-    )
-    return results
-
-
-def run_specs_supervised(
-    instance: ProblemInstance,
-    specs: list[RunSpec],
-    workers: int | None = None,
-    evaluator: QueryEvaluator | None = None,
-    observe_members: bool | None = None,
-    fault_plan: FaultPlan | None = None,
-    supervision: SupervisionPolicy | None = None,
-    checkpoints: bool | None = None,
-    warm: Any = None,
-) -> tuple[list[RunResult], dict[str, Any] | None]:
-    """Supervised :func:`run_specs`: results plus a fault report.
-
-    ``fault_plan`` defaults to the process-ambient plan (see
-    :func:`repro.faults.activate_plan`); ``supervision`` defaults to
-    :class:`SupervisionPolicy`'s defaults.  ``checkpoints=None`` enables
-    incumbent streaming exactly when a fault plan is active — forced on
-    with ``True`` when recovery from *real* crashes should also preserve
-    incumbents (at the cost of a manager process per pool).
-
-    The returned report is ``None`` when nothing faulted; otherwise the
-    dict also attached by :func:`parallel_restarts` as ``stats["faults"]``.
+    The report is ``None`` when nothing faulted; otherwise the dict
+    :func:`best_of_members` attaches as ``stats["faults"]``.
     """
     workers = default_workers() if workers is None else max(1, workers)
-    if observe_members is None:
-        observe_members = current().enabled
-    plan = fault_plan if fault_plan is not None else active_plan()
-    if plan is not None and not plan:
-        plan = None
-    policy = supervision if supervision is not None else SupervisionPolicy()
-    want_checkpoints = (plan is not None) if checkpoints is None else checkpoints
-    ledger = _FaultLedger()
-    checkpoint_store: dict[int, _Checkpoint] = {}
+    observe_members = current().enabled
+    plan = active_plan()
+    inline = workers == 1 or len(specs) <= 1
+    manager = None
+    sink: Any = None
+    if plan is not None and inline:
+        sink = queue_module.SimpleQueue()
+    elif plan is not None:
+        # a Manager queue proxy pickles through initargs (a raw
+        # multiprocessing.Queue does not); paid for only under a plan
+        manager = multiprocessing.Manager()
+        sink = manager.Queue()
+    run: Callable[[RunSpec, int], RunResult] = _run_member_in_worker
+    if inline:
+        env = _MemberEnv(
+            instance, evaluator or QueryEvaluator(instance), observe_members, sink
+        )
+        run = partial(_run_member, env=env)
+    plan_payload = plan.to_dict() if plan is not None else None
 
-    if workers == 1 or len(specs) <= 1:
-        evaluator = evaluator or QueryEvaluator(instance)
-        results = _supervised_inline_run(
-            instance, specs, evaluator, observe_members, plan, policy,
-            want_checkpoints, ledger, checkpoint_store,
+    def new_executor(members: int) -> Executor:
+        if inline:
+            return _InlineExecutor()
+        return ProcessPoolExecutor(
+            max_workers=min(workers, members),
+            initializer=_init_worker,
+            initargs=(instance, observe_members, plan_payload, sink),
         )
-    else:
-        results = _supervised_pool_run(
-            instance, specs, workers, observe_members, plan, policy,
-            want_checkpoints, ledger, checkpoint_store, warm=warm,
+
+    policy = supervision or SupervisionPolicy()
+    ledger = _FaultLedger([spec.index for spec in specs], policy.member_retries)
+    checkpoints: dict[int, _Checkpoint] = {}
+    try:
+        results = _supervise(
+            specs, new_executor, run, instance.num_variables, policy.hang_timeout,
+            ledger, partial(_drain_checkpoints, sink, checkpoints),
         )
+    finally:
+        _drain_checkpoints(sink, checkpoints)
+        if manager is not None:
+            manager.shutdown()
 
     ordered: list[RunResult] = []
     for spec in specs:
         result = results.get(spec.index)
         if result is None:
-            checkpoint = checkpoint_store.get(spec.index)
-            if checkpoint is not None:
-                result = _result_from_checkpoint(spec, checkpoint)
-                ledger.recovered_members.append(spec.index)
-            else:
-                result = _lost_member_result(spec)
-                ledger.lost_members.append(spec.index)
+            checkpoint = checkpoints.get(spec.index)
+            synthesised = ledger.lost_members if checkpoint is None else ledger.recovered_members
+            synthesised.append(spec.index)
+            result = _synthesised_result(spec, checkpoint)
         ordered.append(result)
-    report = ledger.report() if ledger.any() else None
-    return ordered, report
+    return ordered, ledger.report()
+
+
+def best_of_members(
+    results: list[RunResult],
+    fault_report: dict[str, Any] | None,
+    *,
+    algorithm: str,
+    elapsed: float,
+    milestones: int,
+    stats: dict[str, object],
+) -> RunResult:
+    """The best-of reduction shared by restarts and concurrent portfolios.
+
+    Adds to ``stats`` the fault report (``"faults"``), the members' merged
+    observations (``"obs"``, replayed into the ambient observation), one
+    :func:`member_stats` digest per member (``"members"``) and the winner's
+    index (``"winner"``): the member with the fewest violations, ties
+    broken by member index.  The members' traces merge into one monotone
+    staircase.
+    """
+    obs = current()
+    if fault_report is not None:
+        stats["faults"] = fault_report
+        if obs.enabled:
+            obs.counter("faults.crashes").inc(fault_report["crashes"])
+            obs.counter("faults.hangs").inc(fault_report["hangs"])
+            obs.counter("faults.corruptions").inc(fault_report["corruptions"])
+            obs.counter("faults.retries").inc(fault_report["retries"])
+            obs.counter("faults.rebuilds").inc(fault_report["rebuilds"])
+            obs.counter("faults.recovered_members").inc(len(fault_report["recovered_members"]))
+            obs.counter("faults.lost_members").inc(len(fault_report["lost_members"]))
+    if obs.enabled:
+        payloads = collect_exports([result.stats for result in results])
+        merged_members = merge_states(payloads)
+        replay_into(obs, merged_members)
+        obs.counter("parallel.members").inc(len(results))
+        stats["obs"] = {
+            "members": merged_members["members"],
+            "metrics": merged_members["metrics"],
+            "events": len(merged_members["events"]),
+        }
+
+    winner_index, winner = min(
+        enumerate(results), key=lambda pair: (pair[1].best_violations, pair[0])
+    )
+    stats["members"] = [member_stats(result) for result in results]
+    stats["winner"] = winner_index
+    return RunResult(
+        algorithm=algorithm,
+        best_assignment=winner.best_assignment,
+        best_violations=winner.best_violations,
+        best_similarity=winner.best_similarity,
+        elapsed=elapsed,
+        iterations=sum(result.iterations for result in results),
+        milestones=milestones,
+        trace=_merge_concurrent_traces(results),
+        stats=stats,
+    )
 
 
 def parallel_restarts(
@@ -792,25 +637,20 @@ def parallel_restarts(
     restarts: int = 4,
     workers: int | None = None,
     evaluator: QueryEvaluator | None = None,
-    fault_plan: FaultPlan | None = None,
     supervision: SupervisionPolicy | None = None,
-    checkpoints: bool | None = None,
     warm_start: Sequence[int] | None = None,
-    warm: Any = None,
 ) -> RunResult:
     """Best-of-``restarts`` independent runs of one heuristic.
 
     ``warm_start`` hands every member the same starting incumbent (each
-    still explores from its own derived seed after that); ``warm`` is a
-    :class:`~repro.warm.plane.WarmInstanceSpec` switching pool workers to
-    shared-memory attach instead of instance pickling.
+    still explores from its own derived seed after that).
 
     Every member receives a fresh budget with the *same* limits (members run
     concurrently, so the wall-clock cost is one member's budget, not their
     sum) and the seed ``derive_seed(seed, index)``.  The returned result is
     the member with the fewest violations — ties broken by member index —
     with the members' traces merged into one monotone staircase and their
-    summaries kept under ``stats["members"]``.
+    summaries kept under ``stats["members"]`` (see :func:`best_of_members`).
 
     Member execution is supervised (crash/hang/corrupt recovery, incumbent
     checkpointing — see the module docstring); any recovery activity is
@@ -832,62 +672,18 @@ def parallel_restarts(
         )
         for index in range(restarts)
     ]
-    obs = current()
     watch = Stopwatch()
-    with obs.span("parallel.run"):
-        results, fault_report = run_specs_supervised(
-            instance,
-            specs,
-            workers,
-            evaluator,
-            fault_plan=fault_plan,
-            supervision=supervision,
-            checkpoints=checkpoints,
-            warm=warm,
+    with current().span("parallel.run"):
+        results, fault_report = run_specs(
+            instance, specs, workers, evaluator, supervision
         )
-    elapsed = watch.elapsed()
-
-    stats: dict[str, object] = {"restarts": restarts}
-    if fault_report is not None:
-        stats["faults"] = fault_report
-        if obs.enabled:
-            obs.counter("faults.crashes").inc(fault_report["crashes"])
-            obs.counter("faults.hangs").inc(fault_report["hangs"])
-            obs.counter("faults.corruptions").inc(fault_report["corruptions"])
-            obs.counter("faults.retries").inc(fault_report["retries"])
-            obs.counter("faults.rebuilds").inc(fault_report["rebuilds"])
-            obs.counter("faults.recovered_members").inc(
-                len(fault_report["recovered_members"])
-            )
-            obs.counter("faults.lost_members").inc(
-                len(fault_report["lost_members"])
-            )
-    if obs.enabled:
-        payloads = collect_exports([result.stats for result in results])
-        merged_members = merge_states(payloads)
-        replay_into(obs, merged_members)
-        obs.counter("parallel.members").inc(len(results))
-        stats["obs"] = {
-            "members": merged_members["members"],
-            "metrics": merged_members["metrics"],
-            "events": len(merged_members["events"]),
-        }
-
-    best = min(enumerate(results), key=lambda pair: (pair[1].best_violations, pair[0]))
-    winner_index, winner = best
-    merged = _merge_concurrent_traces(results)
-    stats["members"] = [member_stats(result) for result in results]
-    stats["winner"] = winner_index
-    return RunResult(
+    return best_of_members(
+        results,
+        fault_report,
         algorithm=f"parallel({heuristic}×{restarts})",
-        best_assignment=winner.best_assignment,
-        best_violations=winner.best_violations,
-        best_similarity=winner.best_similarity,
-        elapsed=elapsed,
-        iterations=sum(result.iterations for result in results),
+        elapsed=watch.elapsed(),
         milestones=sum(result.milestones for result in results),
-        trace=merged,
-        stats=stats,
+        stats={"restarts": restarts},
     )
 
 

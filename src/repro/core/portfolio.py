@@ -13,7 +13,10 @@ budget share, but the wall-clock cost of the portfolio drops from the sum of
 the shares towards the largest share.  Parallel members draw hash-derived
 seeds (one per member index) rather than consuming a shared generator, so
 parallel results are reproducible for a given seed but differ from the
-sequential schedule's.
+sequential schedule's.  Concurrent members run under the same supervision
+as :func:`~repro.core.parallel.parallel_restarts` and reduce through the
+same :func:`~repro.core.parallel.best_of_members`, so a member lost to a
+fault is reported under ``stats["faults"]`` there as here.
 """
 
 from __future__ import annotations
@@ -21,17 +24,11 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from ..obs import collect_exports, current, merge_states, replay_into
+from ..obs import current
 from ..query import ProblemInstance
 from .budget import Budget, Stopwatch
 from .evaluator import QueryEvaluator
-from .parallel import (
-    RunSpec,
-    _merge_concurrent_traces,
-    derive_seed,
-    member_stats,
-    run_specs,
-)
+from .parallel import RunSpec, best_of_members, derive_seed, member_stats, run_specs
 from .result import ConvergenceTrace, RunResult
 from .two_step import HEURISTICS
 
@@ -69,7 +66,9 @@ def portfolio_search(
         largest share instead of the sum.
 
     Returns a single :class:`RunResult` labelled ``portfolio(...)`` whose
-    trace concatenates the member traces on a common clock.
+    trace concatenates the member traces on a common clock (sequential) or
+    merges them into one staircase (concurrent, with ``stats["winner"]``
+    and, after any fault, ``stats["faults"]``).
     """
     if not heuristics:
         raise ValueError("portfolio needs at least one heuristic")
@@ -163,37 +162,14 @@ def _portfolio_parallel(
                 index=index,
             )
         )
-    obs = current()
     watch = Stopwatch()
-    with obs.span("portfolio.run"):
-        results = run_specs(instance, specs, workers)
-    elapsed = watch.elapsed()
-
-    stats: dict[str, object] = {"workers": workers}
-    if obs.enabled:
-        payloads = collect_exports([result.stats for result in results])
-        merged_members = merge_states(payloads)
-        replay_into(obs, merged_members)
-        obs.counter("parallel.members").inc(len(results))
-        stats["obs"] = {
-            "members": merged_members["members"],
-            "metrics": merged_members["metrics"],
-            "events": len(merged_members["events"]),
-        }
-
-    best_index, best = min(
-        enumerate(results), key=lambda pair: (pair[1].best_violations, pair[0])
-    )
-    stats["members"] = [member_stats(result) for result in results]
-    stats["winner"] = best_index
-    return RunResult(
+    with current().span("portfolio.run"):
+        results, fault_report = run_specs(instance, specs, workers)
+    return best_of_members(
+        results,
+        fault_report,
         algorithm=f"portfolio({'+'.join(heuristics)})",
-        best_assignment=best.best_assignment,
-        best_violations=best.best_violations,
-        best_similarity=best.best_similarity,
-        elapsed=elapsed,
-        iterations=sum(result.iterations for result in results),
+        elapsed=watch.elapsed(),
         milestones=len(results),
-        trace=_merge_concurrent_traces(results),
-        stats=stats,
+        stats={"workers": workers},
     )

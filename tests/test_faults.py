@@ -19,6 +19,7 @@ from concurrent.futures import BrokenExecutor
 import pytest
 
 from repro import Budget, QueryGraph, hard_instance
+from repro.core import portfolio_search
 from repro.core.budget import Stopwatch
 from repro.core.parallel import (
     LOST_MEMBER_VIOLATIONS,
@@ -217,8 +218,8 @@ def clique_instance():
     return hard_instance(QueryGraph.clique(3), cardinality=120, seed=21)
 
 
-def _restarts(instance, *, workers, fault_plan=None, supervision=None,
-              checkpoints=None, restarts=2, heuristic="ils", iterations=150):
+def _restarts(instance, *, workers, supervision=None, restarts=2,
+              heuristic="ils", iterations=150):
     return parallel_restarts(
         instance,
         Budget.iterations(iterations),
@@ -226,95 +227,165 @@ def _restarts(instance, *, workers, fault_plan=None, supervision=None,
         heuristic=heuristic,
         restarts=restarts,
         workers=workers,
-        fault_plan=fault_plan,
         supervision=supervision,
-        checkpoints=checkpoints,
     )
 
 
-class TestSupervisedInline:
+def _member_key(member):
+    return member["violations"], member["similarity"], member["iterations"]
+
+
+class _SupervisedContract:
+    """Every fault kind both executors share, against the fault-free run.
+
+    The subclasses bind ``workers``: 1 runs the members inline, 2 on the
+    process pool, where an injected crash kills a real worker process.
+    Hangs are tested on the pool only: inline a hang cannot be interrupted
+    and only makes the run slow.
+    """
+
+    workers: int
+
     def test_crash_retry_matches_fault_free_run(self, chain_instance):
-        baseline = _restarts(chain_instance, workers=1)
-        recovered = _restarts(chain_instance, workers=1, fault_plan=crash_member(0))
+        baseline = _restarts(chain_instance, workers=self.workers)
+        with inject(crash_member(0)):
+            recovered = _restarts(chain_instance, workers=self.workers)
         assert recovered.best_assignment == baseline.best_assignment
         assert recovered.best_violations == baseline.best_violations
         assert "faults" not in baseline.stats
         faults = recovered.stats["faults"]
         assert faults["crashes"] == 1
         assert faults["retries"] == 1
+        # inline the crash is a member-level fault; on the pool it breaks
+        # the pool, and only the member that crashed is charged for it
+        assert faults["rebuilds"] == (0 if self.workers == 1 else 1)
+        assert faults["events"] == [{"kind": "crash", "member": 0, "attempt": 0}]
+        assert faults["recovered_members"] == []
         assert faults["lost_members"] == []
 
     def test_injected_error_is_retried(self, chain_instance):
         plan = FaultPlan(
             specs=(FaultSpec(site=SITE_MEMBER_START, kind="error", indices=(1,)),)
         )
-        baseline = _restarts(chain_instance, workers=1)
-        recovered = _restarts(chain_instance, workers=1, fault_plan=plan)
+        baseline = _restarts(chain_instance, workers=self.workers)
+        with inject(plan):
+            recovered = _restarts(chain_instance, workers=self.workers)
         assert recovered.best_assignment == baseline.best_assignment
-        assert recovered.stats["faults"]["errors"] == 1
+        faults = recovered.stats["faults"]
+        assert faults["errors"] == 1
+        assert faults["rebuilds"] == 0  # the executor survives an error
+        assert faults["events"] == [{"kind": "error", "member": 1, "attempt": 0}]
+        assert faults["recovered_members"] == faults["lost_members"] == []
 
     def test_corrupt_result_is_detected_and_retried(self, chain_instance):
-        baseline = _restarts(chain_instance, workers=1)
-        recovered = _restarts(
-            chain_instance, workers=1, fault_plan=corrupt_member(1)
-        )
+        baseline = _restarts(chain_instance, workers=self.workers)
+        with inject(corrupt_member(1)):
+            recovered = _restarts(chain_instance, workers=self.workers)
         assert recovered.best_assignment == baseline.best_assignment
-        assert recovered.stats["faults"]["corruptions"] == 1
+        faults = recovered.stats["faults"]
+        assert faults["corruptions"] == 1
+        assert faults["rebuilds"] == 0
+        assert faults["recovered_members"] == faults["lost_members"] == []
+
+    def test_event_attempt_is_the_members_attempt(self, chain_instance):
+        """An error on attempt 0, then a crash on attempt 1 of the same
+        member: the crash event records attempt 1 on both executors — on
+        the pool it is the first rebuild, not the second."""
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(site=SITE_MEMBER_START, kind="error", indices=(0,)),
+                FaultSpec(site=SITE_MEMBER_START, kind="crash", indices=(0,), times=2),
+            )
+        )
+        baseline = _restarts(chain_instance, workers=self.workers)
+        with inject(plan):
+            recovered = _restarts(chain_instance, workers=self.workers)
+        assert recovered.best_assignment == baseline.best_assignment
+        assert recovered.stats["faults"]["events"] == [
+            {"kind": "error", "member": 0, "attempt": 0},
+            {"kind": "crash", "member": 0, "attempt": 1},
+        ]
 
     def test_checkpoint_recovery_never_returns_none(self, clique_instance):
-        result = _restarts(
-            clique_instance,
-            workers=1,
-            restarts=1,
-            heuristic="sea",
-            iterations=400,
-            fault_plan=crash_after_improvements(0, 1),
+        run = dict(
+            workers=self.workers, heuristic="sea", iterations=400,
             supervision=SupervisionPolicy(member_retries=0),
         )
-        assert result is not None
+        baseline = _restarts(clique_instance, **run)
+        with inject(crash_after_improvements(0, 1)):
+            result = _restarts(clique_instance, **run)
         assert result.best_violations < LOST_MEMBER_VIOLATIONS
         assert result.best_assignment
         faults = result.stats["faults"]
         assert faults["recovered_members"] == [0]
-        member = result.stats["members"][0]
-        assert "(checkpoint)" in member["algorithm"]
+        assert faults["lost_members"] == []
+        first, second = result.stats["members"]
+        assert "(checkpoint)" in first["algorithm"]
+        assert first["violations"] >= baseline.stats["members"][0]["violations"]
+        # the bystander is never charged: it answers as in the fault-free run
+        assert _member_key(second) == _member_key(baseline.stats["members"][1])
+        assert result.best_violations == min(
+            first["violations"], second["violations"]
+        )
 
     def test_member_lost_without_checkpoints_still_answers(self, chain_instance):
-        result = _restarts(
-            chain_instance,
-            workers=1,
-            fault_plan=crash_member(0, times=10),
-            supervision=SupervisionPolicy(member_retries=1),
-            checkpoints=False,
-        )
+        baseline = _restarts(chain_instance, workers=self.workers)
+        # crash_member fires at member start, before any checkpoint exists
+        with inject(crash_member(0, times=10)):
+            result = _restarts(
+                chain_instance,
+                workers=self.workers,
+                supervision=SupervisionPolicy(member_retries=1),
+            )
+        faults = result.stats["faults"]
+        assert faults["lost_members"] == [0]
+        assert faults["recovered_members"] == []
+        assert [event["attempt"] for event in faults["events"]] == [0, 1]
         # member 0 exhausted its retries with no checkpoint; member 1 answers
-        assert result.best_violations < LOST_MEMBER_VIOLATIONS
-        assert result.stats["faults"]["lost_members"] == [0]
+        lost, survivor = result.stats["members"]
+        assert lost["violations"] == LOST_MEMBER_VIOLATIONS
+        assert _member_key(survivor) == _member_key(baseline.stats["members"][1])
+        assert result.best_violations == survivor["violations"]
+        assert result.stats["winner"] == 1
 
 
-class TestSupervisedPool:
-    def test_pool_crash_rebuild_matches_fault_free_run(self, chain_instance):
-        baseline = _restarts(chain_instance, workers=2)
-        recovered = _restarts(chain_instance, workers=2, fault_plan=crash_member(0))
-        assert recovered.best_assignment == baseline.best_assignment
-        assert recovered.best_violations == baseline.best_violations
-        faults = recovered.stats["faults"]
-        assert faults["crashes"] >= 1
-        assert faults["rebuilds"] >= 1
-        assert faults["lost_members"] == []
+class TestSupervisedInline(_SupervisedContract):
+    workers = 1
+
+
+class TestSupervisedPool(_SupervisedContract):
+    workers = 2
 
     def test_pool_hang_is_detected_and_redispatched(self, chain_instance):
         baseline = _restarts(chain_instance, workers=2)
         watch = Stopwatch()
-        recovered = _restarts(
-            chain_instance,
-            workers=2,
-            fault_plan=hang_member(0, delay=30.0),
-            supervision=SupervisionPolicy(hang_timeout=1.0),
-        )
+        with inject(hang_member(0, delay=30.0)):
+            recovered = _restarts(
+                chain_instance,
+                workers=2,
+                supervision=SupervisionPolicy(hang_timeout=1.0),
+            )
         assert watch.elapsed() < 20.0
         assert recovered.best_assignment == baseline.best_assignment
-        assert recovered.stats["faults"]["hangs"] >= 1
+        faults = recovered.stats["faults"]
+        assert faults["hangs"] >= 1
+        assert {"kind": "hang", "member": 0, "attempt": 0} in faults["events"]
+
+
+def test_portfolio_reports_a_lost_member(clique_instance):
+    """Concurrent portfolio members reduce like restarts: a member lost to
+    crashes is reported, and the survivor's answer is returned."""
+    budget = Budget.iterations(40)
+    baseline = portfolio_search(clique_instance, budget, seed=6, workers=2)
+    with inject(crash_member(0, times=10)):
+        result = portfolio_search(clique_instance, budget, seed=6, workers=2)
+    faults = result.stats["faults"]
+    assert faults["lost_members"] == [0]
+    assert faults["crashes"] == 3  # the first try and both retries
+    assert result.stats["winner"] == 1
+    survivor = result.stats["members"][1]
+    assert _member_key(survivor) == _member_key(baseline.stats["members"][1])
+    assert result.best_violations == survivor["violations"]
 
 
 # ----------------------------------------------------------------------
@@ -549,6 +620,7 @@ class TestServerRecovery:
             instance_dir, workers=2, fault_plan=crash_every_nth_job(3)
         )
         try:
+            publishes = server._warm_plane.publishes
             responses: list[dict] = []
             errors: list[BaseException] = []
 
@@ -581,6 +653,8 @@ class TestServerRecovery:
             stats = server.stats()
             assert stats["pool_rebuilds"] >= 1
             assert stats["jobs_retried"] >= 1
+            # rebuilt workers re-attach to the warm segments, never re-publish
+            assert server._warm_plane.publishes == publishes
         finally:
             _shutdown(server, self._thread)
 

@@ -940,8 +940,7 @@ def test_rl012_sabotage_lambda_in_member_dispatch():
     """A lambda in the parallel member dispatch must trip RL012."""
     parallel = (REPO_ROOT / "src/repro/core/parallel.py").read_text()
     sabotaged = parallel.replace(
-        "pool.submit(\n                        _run_member_in_worker,",
-        "pool.submit(\n                        lambda task: None,",
+        "executor.submit(run,", "executor.submit(lambda *task: None,"
     )
     assert sabotaged != parallel, "dispatch no longer matches expected shape"
     assert not lint_source(

@@ -55,7 +55,7 @@ def test_parallel_restarts_independent_of_worker_count(instance, heuristic):
             instance, budget, seed=13, heuristic=heuristic, restarts=3,
             workers=workers,
         )
-        for workers in (1, 2)
+        for workers in (1, 2, 3)
     ]
     reference = results[0]
     for result in results[1:]:
@@ -200,8 +200,9 @@ def test_run_specs_preserves_spec_order(instance):
                 max_iterations=20, index=index)
         for index, name in enumerate(["ils", "sea", "ils"])
     ]
-    inline = run_specs(instance, specs, workers=1)
-    pooled = run_specs(instance, specs, workers=2)
+    inline, inline_faults = run_specs(instance, specs, workers=1)
+    pooled, pooled_faults = run_specs(instance, specs, workers=2)
+    assert inline_faults is None and pooled_faults is None
     assert [r.algorithm for r in inline] == [r.algorithm for r in pooled]
     for a, b in zip(inline, pooled):
         assert a.best_violations == b.best_violations
@@ -232,3 +233,4 @@ def test_portfolio_parallel_accepts_random_seed(instance):
     )
     assert result.best_violations >= 0
     assert len(result.stats["members"]) == 2
+    assert "faults" not in result.stats
