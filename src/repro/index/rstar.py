@@ -7,13 +7,21 @@ implementation follows the original publication:
 * *choose subtree*: minimum overlap enlargement at the level above the
   leaves, minimum area enlargement above that (ties broken by area),
 * *overflow treatment*: forced reinsertion of the ``reinsert_fraction``
-  entries whose centers lie farthest from the node center — once per level
-  per insertion — before resorting to a split,
+  entries whose centers lie farthest from the node center, farthest first
+  ([BKSS90]'s *far reinsert*) — once per level per insertion — before
+  resorting to a split,
 * *split*: axis chosen by minimum total margin over all candidate
   distributions, distribution chosen by minimum overlap (ties by area).
 
 Deletion uses the classic condense-tree strategy (underfull nodes are
 dissolved and their entries reinserted at their original level).
+
+Each decision scores a whole node at once: the node's bounds are packed
+into a ``(4, k)`` array and every candidate is scored in a few NumPy calls.
+The arithmetic is the scalar procedures' own, operation for operation —
+sums accumulate in entry order, ties go to the first candidate — so the
+trees are bit-identical to the one-``Rect``-at-a-time code, which
+``tests/test_rstar.py`` keeps as the oracle.
 
 A tree has two forms.  The :class:`~repro.index.node.Node` graph is the
 write side: inserts and deletes work on it (and ``validate()`` and k-NN walk
@@ -27,9 +35,12 @@ warm-attached tree that is only read never builds a node at all.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from ..geometry import Rect, union_all
+import numpy as np
+
+from ..geometry import Rect
+from ..geometry.kernels import pack_bounds
 from .buffer import BufferPool
 from .node import Node
 from .packed import PackedTree
@@ -181,44 +192,56 @@ class RStarTree:
 
     @staticmethod
     def _pick_min_enlargement_child(node: Node, rect: Rect) -> int:
-        best_index = 0
-        best_key: tuple[float, float] | None = None
-        for index, bound in enumerate(node.bounds):
-            key = (bound.enlargement(rect), bound.area())
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = index
-        return best_index
+        """Least area enlargement, ties broken by least area."""
+        bounds = _coordinates(node.bounds)
+        area = _areas(bounds)
+        return _first_minimum(_areas(_enlarged(bounds, rect)) - area, area)
 
     @staticmethod
     def _pick_min_overlap_child(node: Node, rect: Rect) -> int:
-        """[BKSS90] leaf-level criterion: least overlap enlargement."""
-        best_index = 0
-        best_key: tuple[float, float, float] | None = None
-        for index, bound in enumerate(node.bounds):
-            enlarged = bound.union(rect)
-            overlap_delta = 0.0
-            for other_index, other in enumerate(node.bounds):
-                if other_index == index:
-                    continue
-                overlap_delta += enlarged.intersection_area(other)
-                overlap_delta -= bound.intersection_area(other)
-            key = (overlap_delta, bound.enlargement(rect), bound.area())
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = index
-        return best_index
+        """[BKSS90] leaf-level criterion: least overlap enlargement.
+
+        Entry ``i``'s overlap enlargement is the sum, over every other entry
+        ``j`` in entry order, of ``area(enlarged_i ∩ bound_j)`` minus
+        ``area(bound_i ∩ bound_j)``.  Column ``i`` of the term matrix holds
+        those terms interleaved, with zeros for ``j == i``, and ``cumsum``
+        adds them top to bottom: the rounding of the sequential sum, which the
+        pairwise order of ``np.sum`` would not reproduce.  Ties go to least
+        area enlargement, then least area, then the first entry.
+        """
+        bounds = _coordinates(node.bounds)
+        count = bounds.shape[1]
+        enlarged = _enlarged(bounds, rect)
+        area = _areas(bounds)
+        # terms[j, i] scores enlarged entry i against entry j, and
+        # terms[j, count + i] entry i itself, negated
+        terms = _overlap_areas(
+            bounds[:, :, None], np.concatenate((enlarged, bounds), axis=1)[:, None, :]
+        )
+        np.negative(terms[:, count:], out=terms[:, count:])
+        # [j, j] and [j, count + j]: every (2·count + 1)-th element from 0 and count
+        flat = terms.reshape(-1)
+        flat[:: 2 * count + 1] = 0.0
+        flat[count :: 2 * count + 1] = 0.0
+        # row 2j + side of the reshaped matrix is every entry's summand 2j + side
+        overlap_delta = np.cumsum(terms.reshape(2 * count, count), axis=0)[-1]
+        return _first_minimum(overlap_delta, _areas(enlarged) - area, area)
 
     def _propagate_growth(self, node: Node) -> None:
-        """Refresh cached bounds on the path from ``node`` to the root."""
+        """Refresh cached bounds on the path from ``node`` to the root.
+
+        Stops at the first ancestor whose entry already equals its child's
+        MBR: that ancestor is unchanged, and so is every one above it.
+        """
         while node.parent is not None:
             parent = node.parent
             position = parent.children.index(node)
             grown = node.mbr
             if grown is None:
                 raise AssertionError("growth propagation reached an empty node")
-            if parent.bounds[position] != grown:
-                parent.set_bound(position, grown)
+            if parent.bounds[position] == grown:
+                return
+            parent.set_bound(position, grown)
             node = parent
 
     # ------------------------------------------------------------------
@@ -251,15 +274,14 @@ class RStarTree:
         kept = order[self.reinsert_count:]
         node.replace_entries([r for r, _ in kept], [c for _, c in kept])
         self._propagate_growth(node)
-        # [BKSS90] "close reinsert": farthest entries first.
+        # farthest first: [BKSS90]'s "far reinsert" (its "close reinsert"
+        # would start from the evicted entry nearest the center)
         for rect, child in evicted:
             self._insert_at_level(rect, child, node.level)
 
     def _split(self, node: Node) -> None:
         self.stats.splits += 1
-        group_a, group_b = _rstar_split(
-            list(node.entries()), self.min_entries, self.max_entries
-        )
+        group_a, group_b = self._split_groups(list(node.entries()), self.min_entries)
         sibling = Node(level=node.level)
         node.replace_entries([r for r, _ in group_a], [c for _, c in group_a])
         sibling.replace_entries([r for r, _ in group_b], [c for _, c in group_b])
@@ -278,6 +300,48 @@ class RStarTree:
         self._propagate_growth(parent)
         if len(parent) > self.max_entries:
             self._handle_overflow(parent)
+
+    @staticmethod
+    def _split_groups(
+        entries: list[tuple[Rect, Any]], min_entries: int
+    ) -> tuple[list[tuple[Rect, Any]], list[tuple[Rect, Any]]]:
+        """Split an overfull node's entries into two groups per [BKSS90].
+
+        The candidate distributions cut four stable sorts — by
+        ``(xmin, xmax)``, ``(xmax, xmin)``, ``(ymin, ymax)``, ``(ymax, ymin)``
+        — at every position leaving ``min_entries`` on each side, so their
+        group MBRs are running minima/maxima from either end.  The axis whose
+        two sorts have the least total margin wins (x on a tie; each sort's
+        margins summed in cut order); along it, the first cut of least group
+        overlap, then least total area.
+        """
+        bounds = _coordinates([rect for rect, _ in entries])
+        xmin, ymin, xmax, ymax = bounds
+        orders = np.stack(
+            (
+                np.lexsort((xmax, xmin)),
+                np.lexsort((xmin, xmax)),
+                np.lexsort((ymax, ymin)),
+                np.lexsort((ymin, ymax)),
+            )
+        )
+        ordered = bounds[:, orders]
+        count = len(entries)
+        cuts = np.arange(min_entries, count - min_entries + 1)
+        left = _prefix_mbrs(ordered)[:, :, cuts - 1]
+        right = _prefix_mbrs(ordered[:, :, ::-1])[:, :, count - cuts - 1]
+        left_w, left_h = left[2] - left[0], left[3] - left[1]
+        right_w, right_h = right[2] - right[0], right[3] - right[1]
+
+        margins = np.cumsum((left_w + left_h) + (right_w + right_h), axis=1)[:, -1]
+        first = 0 if margins[0] + margins[1] <= margins[2] + margins[3] else 2
+        axis = slice(first, first + 2)
+        overlap = _overlap_areas(left[:, axis], right[:, axis])
+        area = left_w[axis] * left_h[axis] + right_w[axis] * right_h[axis]
+        sort, cut = divmod(_first_minimum(overlap.ravel(), area.ravel()), len(cuts))
+        order = orders[first + sort].tolist()
+        split_at = int(cuts[cut])
+        return [entries[i] for i in order[:split_at]], [entries[i] for i in order[split_at:]]
 
     # ------------------------------------------------------------------
     # deletion
@@ -368,73 +432,46 @@ class RStarTree:
         )
 
 
-# ----------------------------------------------------------------------
-# split machinery (module-level so the bulk loader can reuse it in tests)
-# ----------------------------------------------------------------------
-def _rstar_split(
-    entries: list[tuple[Rect, Any]], min_entries: int, max_entries: int
-) -> tuple[list[tuple[Rect, Any]], list[tuple[Rect, Any]]]:
-    """Split ``max_entries + 1`` entries into two groups per [BKSS90]."""
-    axis_sorts = _choose_split_axis(entries, min_entries)
-    return _choose_split_index(axis_sorts, min_entries)
+# The helpers below take bounds coordinate-major: ``bounds[0..3]`` are the
+# ``xmin, ymin, xmax, ymax`` arrays, so each NumPy call runs over entries.
+def _coordinates(rects: Sequence[Rect]) -> np.ndarray:
+    """The contiguous ``(4, k)`` coordinate-major array of ``rects``."""
+    return pack_bounds(rects).T.copy()
 
 
-def _sorted_by(
-    entries: list[tuple[Rect, Any]], key: Callable[[Rect], tuple[float, float]]
-) -> list[tuple[Rect, Any]]:
-    return sorted(entries, key=lambda entry: key(entry[0]))
+def _areas(bounds: np.ndarray) -> np.ndarray:
+    """``Rect.area`` of every rectangle."""
+    return (bounds[2] - bounds[0]) * (bounds[3] - bounds[1])
 
 
-def _choose_split_axis(
-    entries: list[tuple[Rect, Any]], min_entries: int
-) -> list[list[tuple[Rect, Any]]]:
-    """Return the candidate sorts (by min and max) of the best split axis."""
-    x_sorts = [
-        _sorted_by(entries, lambda r: (r.xmin, r.xmax)),
-        _sorted_by(entries, lambda r: (r.xmax, r.xmin)),
-    ]
-    y_sorts = [
-        _sorted_by(entries, lambda r: (r.ymin, r.ymax)),
-        _sorted_by(entries, lambda r: (r.ymax, r.ymin)),
-    ]
-    x_margin = sum(_distribution_margins(s, min_entries) for s in x_sorts)
-    y_margin = sum(_distribution_margins(s, min_entries) for s in y_sorts)
-    return x_sorts if x_margin <= y_margin else y_sorts
+def _enlarged(bounds: np.ndarray, rect: Rect) -> np.ndarray:
+    """``Rect.union`` of every rectangle with ``rect``."""
+    corners = np.array(rect)[:, None]
+    grown = np.minimum(bounds, corners)
+    np.maximum(bounds[2:], corners[2:], out=grown[2:])
+    return grown
 
 
-def _distribution_margins(ordered: list[tuple[Rect, Any]], min_entries: int) -> float:
-    total = 0.0
-    for split_at in _split_positions(len(ordered), min_entries):
-        left = union_all(r for r, _ in ordered[:split_at])
-        right = union_all(r for r, _ in ordered[split_at:])
-        total += left.margin() + right.margin()
-    return total
+def _overlap_areas(bounds: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """``Rect.intersection_area`` of broadcast rectangle pairs."""
+    dx, dy = np.minimum(bounds[2:], others[2:]) - np.maximum(bounds[:2], others[:2])
+    return np.where((dx > 0.0) & (dy > 0.0), dx * dy, 0.0)
 
 
-def _split_positions(count: int, min_entries: int) -> range:
-    return range(min_entries, count - min_entries + 1)
+def _prefix_mbrs(ordered: np.ndarray) -> np.ndarray:
+    """Position ``i`` of each sort: the MBR of its entries ``0..i``."""
+    return np.concatenate(
+        (
+            np.minimum.accumulate(ordered[:2], axis=-1),
+            np.maximum.accumulate(ordered[2:], axis=-1),
+        )
+    )
 
 
-def _choose_split_index(
-    sorts: list[list[tuple[Rect, Any]]], min_entries: int
-) -> tuple[list[tuple[Rect, Any]], list[tuple[Rect, Any]]]:
-    best: tuple[float, float] | None = None
-    best_groups: tuple[list[tuple[Rect, Any]], list[tuple[Rect, Any]]] | None = None
-    for ordered in sorts:
-        for split_at in _split_positions(len(ordered), min_entries):
-            left = ordered[:split_at]
-            right = ordered[split_at:]
-            left_mbr = union_all(r for r, _ in left)
-            right_mbr = union_all(r for r, _ in right)
-            key = (
-                left_mbr.intersection_area(right_mbr),
-                left_mbr.area() + right_mbr.area(),
-            )
-            if best is None or key < best:
-                best = key
-                best_groups = (left, right)
-    assert best_groups is not None
-    return best_groups
+def _first_minimum(*keys: np.ndarray) -> int:
+    """Index of the first entry minimal in ``keys``, most significant first:
+    the scalar loop's "replace the best on a strictly smaller key tuple"."""
+    return int(np.lexsort(keys[::-1])[0])
 
 
 def _collect_leaf_entries(node: Node) -> Iterator[tuple[Rect, Any]]:

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro import QueryGraph, Rect, RStarTree, bulk_load, hard_instance
 from repro.geometry import INTERSECTS
 from repro.index.bulk import pack_tree, tree_from_packed
 from repro.index.queries import search_predicate
+
+# ----------------------------------------------------------------------
+# hypothesis profiles: HYPOTHESIS_PROFILE=deep runs every property that
+# does not pin its own example count (CI runs the R*-tree oracle
+# properties, tests/test_rstar.py -k MatchOracle, so)
+# ----------------------------------------------------------------------
+settings.register_profile("deep", max_examples=600, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # ----------------------------------------------------------------------
 # hypothesis strategies
