@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# T1 of the Figure 10a recipe (see README.md): run the benchmark and land
+# T1 of the Figure 10a recipe (see README.md): regenerate the figure and land
 # its ledger rows in raw/fig10a.jsonl, then chain T2 (to_csv) and T3 (plot).
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -13,6 +13,6 @@ export REPRO_LEDGER_PATH="$(pwd)/raw/fig10a.jsonl"
 # laptop-scale by default; REPRO_BENCH_SCALE=1.0 approaches the paper grid
 export REPRO_BENCH_SCALE="${REPRO_BENCH_SCALE:-0.1}"
 
-python -m pytest "${REPO_ROOT}/benchmarks/bench_fig10a.py" -q -p no:cacheprovider
+python -m repro.bench.runner fig10a
 python to_csv.py
 python plot.py

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# T1 of the Figure 10c recipe (see README.md): run the benchmark and land
+# T1 of the Figure 10c recipe (see README.md): regenerate the figure and land
 # its ledger rows in raw/fig10c.jsonl, then chain T2 (to_csv) and T3 (plot).
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -12,6 +12,6 @@ export PYTHONPATH="${REPO_ROOT}/src${PYTHONPATH:+:${PYTHONPATH}}"
 export REPRO_LEDGER_PATH="$(pwd)/raw/fig10c.jsonl"
 export REPRO_BENCH_SCALE="${REPRO_BENCH_SCALE:-0.1}"
 
-python -m pytest "${REPO_ROOT}/benchmarks/bench_fig10c.py" -q -p no:cacheprovider
+python -m repro.bench.runner fig10c
 python to_csv.py
 python plot.py

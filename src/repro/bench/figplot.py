@@ -9,7 +9,8 @@ otherwise, so callers degrade gracefully instead of crashing).
 :func:`ascii_chart` plots several named series over a shared x-axis on a
 character canvas, one marker per series, with interpolated "." segments
 between consecutive points so the paper's curve shapes stay visible at
-terminal resolution.
+terminal resolution.  A cell holding points of more than one series shows
+:data:`SHARED_MARKER`, and the legend names the series that share it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ __all__ = ["ascii_chart", "have_matplotlib", "save_png"]
 
 #: one marker per series, cycled in declaration order
 MARKERS = "ox+*#@%&"
+
+#: the marker of a cell where points of several series coincide
+SHARED_MARKER = "="
 
 
 def _axis_value(value: float, log: bool) -> float:
@@ -84,8 +88,13 @@ def ascii_chart(
                 r = r0 + round((r1 - r0) * step / steps)
                 if canvas[r][c] == " ":
                     canvas[r][c] = "."
+    owners: dict[tuple[int, int], set[str]] = {}
     for name, x, y in points:
-        canvas[row(y)][col(x)] = markers[name]
+        owners.setdefault((row(y), col(x)), set()).add(name)
+    shared = set().union(*(names for names in owners.values() if len(names) > 1))
+    for (r, c), names in owners.items():
+        canvas[r][c] = SHARED_MARKER if len(names) > 1 else markers[next(iter(names))]
+    drawn = {mark for canvas_row in canvas for mark in canvas_row}
 
     def tick(value: float, log: bool) -> str:
         return f"{10.0 ** value:g}" if log else f"{value:g}"
@@ -106,8 +115,10 @@ def ascii_chart(
     right = tick(x_hi, logx)
     gap = max(1, width - len(left) - len(right))
     lines.append(f"{' ' * label_width}  {left}{' ' * gap}{right}  ({x_label})")
-    legend = "   ".join(f"{markers[name]} = {name}" for name in series)
-    lines.append(f"{' ' * label_width}  {legend}")
+    legend = [f"{markers[name]} = {name}" for name in series if markers[name] in drawn]
+    if shared:
+        legend.append(f"{SHARED_MARKER} : {', '.join(n for n in series if n in shared)}")
+    lines.append(f"{' ' * label_width}  {'   '.join(legend)}")
     return "\n".join(lines)
 
 

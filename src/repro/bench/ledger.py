@@ -24,16 +24,18 @@ and the ``REPRO_BENCH_SCALE`` the row was measured at, and
 ``metrics``/``meta`` attach the obs snapshot and free-form section
 context.
 
-Benchmarks emit through :func:`emit_sections`, which stamps the shared
-fields (run id, commit, timestamp, environment) and appends to the ledger
-(``REPRO_LEDGER_PATH``, default :data:`DEFAULT_LEDGER_NAME` in the working
-directory); ``runs/*/to_csv.py`` read the rows back with
-:func:`read_ledger`.  Performance is judged elsewhere — by
+The figure runner and the benchmarks emit through :func:`emit_sections`,
+which stamps the shared fields (run id, commit, timestamp, environment) and
+appends to the ledger (``REPRO_LEDGER_PATH``, default
+:data:`DEFAULT_LEDGER_NAME` in the working directory); ``runs/*/to_csv.py``
+read the rows back with :func:`read_ledger` and write them with
+:func:`write_csv`.  Performance is judged elsewhere — by
 ``python3 perf/run.py`` and ``perf/compare.py`` (``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import platform
@@ -49,9 +51,13 @@ __all__ = [
     "LedgerWriter",
     "validate_row",
     "read_ledger",
+    "write_csv",
     "emit_sections",
     "timer_stats",
     "environment_fingerprint",
+    "bench_scale",
+    "scaled",
+    "scaled_int",
     "git_commit",
     "new_run_id",
     "ledger_path",
@@ -172,6 +178,19 @@ def read_ledger(path: str, validate: bool = True) -> list[dict[str, Any]]:
     return rows
 
 
+def write_csv(
+    path: str | os.PathLike[str],
+    columns: Sequence[str],
+    rows: Sequence[Sequence[object]],
+) -> None:
+    """Write pivoted ledger rows as CSV (for external plotting tools)."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(list(columns))
+        for row in rows:
+            writer.writerow(list(row))
+
+
 class LedgerWriter:
     """Append-mode JSONL row writer — validates every row before writing."""
 
@@ -207,10 +226,25 @@ def timer_stats(samples: Sequence[float]) -> dict[str, Any]:
     }
 
 
+def bench_scale() -> float:
+    """The ``REPRO_BENCH_SCALE`` multiplier of sizes, budgets and repetitions."""
+    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+
+
+def scaled(value: float, minimum: float = 0.0) -> float:
+    """``value`` times :func:`bench_scale`, never below ``minimum``."""
+    return max(minimum, value * bench_scale())
+
+
+def scaled_int(value: int, minimum: int = 1) -> int:
+    """:func:`scaled` rounded to a count, never below ``minimum``."""
+    return max(minimum, round(value * bench_scale()))
+
+
 def environment_fingerprint() -> dict[str, Any]:
     """Host/python/numpy fingerprint stamped onto every row.
 
-    ``scale`` records the ``REPRO_BENCH_SCALE`` the numbers were measured
+    ``scale`` records the :func:`bench_scale` the numbers were measured
     at — rows measured at different scales are different workloads.
     """
     import numpy
@@ -220,7 +254,7 @@ def environment_fingerprint() -> dict[str, Any]:
         "numpy": numpy.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
-        "scale": float(os.environ.get("REPRO_BENCH_SCALE", "1.0")),
+        "scale": bench_scale(),
     }
 
 

@@ -1,11 +1,10 @@
 """Command-line experiment driver: ``python -m repro.cli <command> …``.
 
+The paper's figures are not regenerated here: ``runs/FIG/run_all.sh``
+(``python -m repro.bench.runner FIG``) is the one path for them.
+
 Commands
 --------
-``fig10a`` / ``fig10b`` / ``fig10c`` / ``fig11``
-    Regenerate one figure of the paper at a configurable scale.  Defaults
-    are laptop-scale; pass ``--cardinality 100000 --time-scale 1.0
-    --repetitions 100`` to approach the published setting (expect hours).
 ``solve``
     Run one algorithm on one freshly generated hard instance and print the
     result summary — the quickest way to try the library.
@@ -26,7 +25,6 @@ Commands
 
 Example::
 
-    python -m repro.cli fig10a --variables 5 10 15 --repetitions 3
     python -m repro.cli solve --query clique --variables 8 --algorithm sea
     python -m repro.cli solve --algorithm gils --trace out.jsonl --metrics
     python -m repro.cli trace summarize out.jsonl
@@ -44,20 +42,6 @@ import json
 import sys
 from typing import Sequence
 
-from .bench import (
-    Fig10aConfig,
-    Fig10bConfig,
-    Fig10cConfig,
-    Fig11Config,
-    QUERY_BUILDERS,
-    format_series,
-    format_table,
-    write_csv,
-    run_fig10a,
-    run_fig10b,
-    run_fig10c,
-    run_fig11,
-)
 from .core import (
     Budget,
     GILSConfig,
@@ -74,6 +58,7 @@ from .core import (
 from .obs import (
     JsonlSink,
     Observation,
+    format_table,
     merge_trace_files,
     observe,
     phase_rows,
@@ -88,7 +73,13 @@ from .fleet import (
     partition_instance,
     save_partition,
 )
-from .query import hard_instance, load_instance, planted_instance, save_instance
+from .query import (
+    QUERY_BUILDERS,
+    hard_instance,
+    load_instance,
+    planted_instance,
+    save_instance,
+)
 from .service import DatasetRegistry, JoinClient, JoinServer
 
 __all__ = ["main", "build_parser"]
@@ -111,40 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Approximate multiway spatial joins (EDBT 2002 reproduction)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cardinality", type=int, default=2_000,
-                        help="objects per dataset (paper: 100000)")
-    common.add_argument("--repetitions", type=int, default=3,
-                        help="executions averaged per cell (paper: 100)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--time-scale", type=float, default=0.02,
-                        help="fraction of the paper's time thresholds (1.0 = full)")
-    common.add_argument("--csv", metavar="PATH", default=None,
-                        help="also write the table rows as CSV")
-
-    p10a = commands.add_parser("fig10a", parents=[common],
-                               help="similarity vs number of variables")
-    p10a.add_argument("--variables", type=int, nargs="+", default=[5, 10, 15])
-    p10a.add_argument("--queries", nargs="+", default=["chain", "clique"],
-                      choices=sorted(QUERY_BUILDERS))
-
-    p10b = commands.add_parser("fig10b", parents=[common],
-                               help="similarity over time (n = 15)")
-    p10b.add_argument("--variables", type=int, default=15)
-    p10b.add_argument("--grid-points", type=int, default=8)
-
-    p10c = commands.add_parser("fig10c", parents=[common],
-                               help="similarity vs expected number of solutions")
-    p10c.add_argument("--variables", type=int, default=15)
-    p10c.add_argument("--solutions", type=float, nargs="+",
-                      default=[1.0, 10.0, 1e2, 1e3, 1e4, 1e5])
-
-    p11 = commands.add_parser("fig11", parents=[common],
-                              help="time to exact solution: IBB vs two-step")
-    p11.add_argument("--variables", type=int, nargs="+", default=[3, 4, 5])
-    p11.add_argument("--ibb-cap", type=float, default=60.0,
-                     help="cap (s) on each systematic search")
 
     solve = commands.add_parser("solve", help="run one algorithm on one instance")
     solve.add_argument("--query", default="clique", choices=sorted(QUERY_BUILDERS))
@@ -382,10 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
-        "fig10a": _cmd_fig10a,
-        "fig10b": _cmd_fig10b,
-        "fig10c": _cmd_fig10c,
-        "fig11": _cmd_fig11,
         "solve": _cmd_solve,
         "trace": _cmd_trace,
         "generate": _cmd_generate,
@@ -396,104 +349,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "fleet": _cmd_fleet,
     }[args.command]
     return int(handler(args) or 0)
-
-
-def _cmd_fig10a(args: argparse.Namespace) -> None:
-    config = Fig10aConfig(
-        query_types=args.queries,
-        variable_counts=args.variables,
-        cardinality=args.cardinality,
-        time_per_variable=10.0 * args.time_scale,
-        repetitions=args.repetitions,
-        seed=args.seed,
-    )
-    rows = run_fig10a(config)
-    algorithms = ["ILS", "GILS", "SEA"]
-    columns = ["query", "n", "density", "time(s)"] + algorithms
-    cells = [[r["query"], r["n"], r["density"], r["time_limit"]]
-             + [r[a] for a in algorithms] for r in rows]
-    print(format_table(
-        "Figure 10a — best similarity vs number of query variables",
-        columns,
-        cells,
-    ))
-    if args.csv:
-        write_csv(args.csv, columns, cells)
-
-
-def _cmd_fig10b(args: argparse.Namespace) -> None:
-    config = Fig10bConfig(
-        num_variables=args.variables,
-        cardinality=args.cardinality,
-        time_limits={"chain": 40.0 * args.time_scale * 2.5,
-                     "clique": 120.0 * args.time_scale * 2.5},
-        grid_points=args.grid_points,
-        repetitions=args.repetitions,
-        seed=args.seed,
-    )
-    output = run_fig10b(config)
-    for query_type, data in output.items():
-        grid = [round(t, 3) for t in data["grid"]]
-        print(format_series(
-            f"Figure 10b — similarity over time ({query_type}, "
-            f"n={config.num_variables})",
-            "t(s)",
-            grid,
-            data["series"],
-        ))
-        print()
-        if args.csv:
-            columns = ["t(s)"] + list(data["series"])
-            cells = [
-                [t] + [data["series"][name][index] for name in data["series"]]
-                for index, t in enumerate(grid)
-            ]
-            write_csv(f"{args.csv}.{query_type}.csv", columns, cells)
-
-
-def _cmd_fig10c(args: argparse.Namespace) -> None:
-    config = Fig10cConfig(
-        num_variables=args.variables,
-        cardinality=args.cardinality,
-        expected_solutions=args.solutions,
-        time_limit=10.0 * args.variables * args.time_scale,
-        repetitions=args.repetitions,
-        seed=args.seed,
-    )
-    rows = run_fig10c(config)
-    algorithms = ["ILS", "GILS", "SEA"]
-    columns = ["Sol", "density"] + algorithms
-    cells = [[r["Sol"], r["density"]] + [r[a] for a in algorithms] for r in rows]
-    print(format_table(
-        "Figure 10c — best similarity vs expected number of solutions",
-        columns,
-        cells,
-    ))
-    if args.csv:
-        write_csv(args.csv, columns, cells)
-
-
-def _cmd_fig11(args: argparse.Namespace) -> None:
-    config = Fig11Config(
-        variable_counts=args.variables,
-        cardinality=args.cardinality,
-        ils_time=max(0.05, 1.0 * args.time_scale * 5),
-        sea_time_per_variable=10.0 * args.time_scale,
-        ibb_time_cap=args.ibb_cap,
-        repetitions=args.repetitions,
-        seed=args.seed,
-    )
-    rows = run_fig11(config)
-    columns = ["n", "IBB", "IBB exact", "ILS+IBB", "ILS+IBB exact",
-               "SEA+IBB", "SEA+IBB exact"]
-    cells = [[r[c] for c in columns] for r in rows]
-    print(format_table(
-        "Figure 11 — mean seconds to retrieve the exact solution",
-        columns,
-        cells,
-    ))
-    if args.csv:
-        write_csv(args.csv, columns, cells)
 
 
 def _cmd_solve(args: argparse.Namespace) -> None:

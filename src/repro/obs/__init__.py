@@ -55,7 +55,7 @@ from .metrics import (
     MetricsRegistry,
 )
 from .names import METRIC_NAMES, SPAN_NAMES, check_metric_name, check_span_name
-from .report import phase_rows, service_latency, summarize_trace
+from .report import format_table, phase_rows, service_latency, summarize_trace
 from .spans import NULL_SPAN, Span, Tracer
 
 __all__ = [
@@ -87,6 +87,7 @@ __all__ = [
     "collect_exports",
     "summarize_trace",
     "phase_rows",
+    "format_table",
     "service_latency",
 ]
 

@@ -5,7 +5,7 @@ given the records of one JSONL trace (or an in-memory sink) it aggregates
 ``span_close`` events into a per-phase wall-time / node-access table,
 collects the convergence staircase, and surfaces the final metric
 snapshot.  Pure dict-in/dict-out so tests and plotting scripts can reuse
-it without the CLI.
+it without the CLI.  :func:`format_table` renders rows as a text table.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-__all__ = ["summarize_trace", "phase_rows", "service_latency"]
+__all__ = ["summarize_trace", "phase_rows", "service_latency", "format_table"]
 
 #: the span whose close events are a request's end-to-end solve latency
 SERVICE_SOLVE_SPAN = "service.solve"
@@ -206,3 +206,36 @@ def phase_rows(summary: Mapping[str, Any]) -> list[list[Any]]:
             ]
         )
     return rows
+
+
+def format_table(
+    title: str,
+    columns: Sequence[str],
+    rows: Sequence[Sequence[object]],
+    precision: int = 3,
+) -> str:
+    """Render ``rows`` under ``columns`` as an aligned monospace table."""
+    rendered_rows = [
+        [_render_cell(cell, precision) for cell in row] for row in rows
+    ]
+    headers = [str(column) for column in columns]
+    widths = [
+        max(len(headers[index]), *(len(row[index]) for row in rendered_rows))
+        if rendered_rows
+        else len(headers[index])
+        for index in range(len(headers))
+    ]
+    lines = [title]
+    lines.append("  ".join(header.rjust(width) for header, width in zip(headers, widths)))
+    lines.append("  ".join("-" * width for width in widths))
+    for row in rendered_rows:
+        lines.append("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _render_cell(cell: object, precision: int) -> str:
+    if isinstance(cell, bool):
+        return str(cell)
+    if isinstance(cell, float):
+        return f"{cell:.{precision}f}"
+    return str(cell)

@@ -1,6 +1,6 @@
 """Query model: graphs, selectivity/output-size estimation, hard instances."""
 
-from .graph import QueryGraph
+from .graph import QUERY_BUILDERS, QueryGraph
 from .hardness import ProblemInstance, hard_instance, planted_instance
 from .io import load_instance, query_from_dict, query_to_dict, save_instance
 from .selectivity import (
@@ -14,6 +14,7 @@ from .selectivity import (
 
 __all__ = [
     "QueryGraph",
+    "QUERY_BUILDERS",
     "query_to_dict",
     "query_from_dict",
     "save_instance",

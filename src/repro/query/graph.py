@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ..geometry import INTERSECTS, SpatialPredicate
 
-__all__ = ["QueryGraph"]
+__all__ = ["QueryGraph", "QUERY_BUILDERS"]
 
 
 class QueryGraph:
@@ -216,3 +216,12 @@ class QueryGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"QueryGraph(n={self.num_variables}, edges={self.num_edges})"
+
+
+#: the named topologies, keyed by the name the CLI's ``--query`` takes
+QUERY_BUILDERS: dict[str, Callable[[int], QueryGraph]] = {
+    "chain": QueryGraph.chain,
+    "clique": QueryGraph.clique,
+    "cycle": QueryGraph.cycle,
+    "star": QueryGraph.star,
+}

@@ -1,6 +1,12 @@
 """CLI tests (argument parsing + command execution via capsys)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.cli import build_parser, main
 from repro.obs import read_trace, summarize_trace
@@ -10,12 +16,6 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
-
-    def test_fig10a_defaults(self):
-        args = build_parser().parse_args(["fig10a"])
-        assert args.command == "fig10a"
-        assert args.variables == [5, 10, 15]
-        assert args.cardinality == 2_000
 
     def test_solve_arguments(self):
         args = build_parser().parse_args(
@@ -221,38 +221,6 @@ class TestObservability:
         assert "p50=" in out and "p95=" in out and "p99=" in out
 
 
-class TestFigureCommands:
-    def test_fig10a_prints_table(self, capsys):
-        assert main(
-            [
-                "fig10a",
-                "--variables", "3",
-                "--queries", "chain",
-                "--cardinality", "60",
-                "--repetitions", "1",
-                "--time-scale", "0.002",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Figure 10a" in out
-        assert "ILS" in out and "SEA" in out
-
-    def test_fig11_prints_table(self, capsys):
-        assert main(
-            [
-                "fig11",
-                "--variables", "3",
-                "--cardinality", "50",
-                "--repetitions", "1",
-                "--time-scale", "0.002",
-                "--ibb-cap", "20",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Figure 11" in out
-        assert "SEA+IBB" in out
-
-
 class TestGenerateRerun:
     def test_generate_then_rerun(self, tmp_path, capsys):
         directory = str(tmp_path / "inst")
@@ -270,15 +238,17 @@ class TestGenerateRerun:
         assert "similarity=1.0000" in out  # planted solution must be found
 
 
-class TestCsvExport:
-    def test_fig10a_csv(self, tmp_path, capsys):
-        path = tmp_path / "out.csv"
-        assert main([
-            "fig10a", "--variables", "3", "--queries", "chain",
-            "--cardinality", "50", "--repetitions", "1",
-            "--time-scale", "0.002", "--csv", str(path),
-        ]) == 0
-        capsys.readouterr()
-        content = path.read_text()
-        assert content.startswith("query,n,density")
-        assert "chain,3," in content
+def test_importing_the_cli_loads_no_figure_harness():
+    """``serve`` starts through ``repro.cli``: it must not pay for ``repro.bench``."""
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.bench')))"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

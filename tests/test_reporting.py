@@ -1,6 +1,6 @@
 """Benchmark table rendering tests."""
 
-from repro.bench import format_series, format_table
+from repro.bench import format_table
 
 
 class TestFormatTable:
@@ -34,20 +34,6 @@ class TestFormatTable:
         lines = text.splitlines()
         widths = {len(line) for line in lines[1:]}
         assert len(widths) == 1  # all rows padded to the same width
-
-
-class TestFormatSeries:
-    def test_one_row_per_x(self):
-        text = format_series(
-            "S",
-            "t",
-            [1, 2, 3],
-            {"ILS": [0.1, 0.2, 0.3], "SEA": [0.2, 0.4, 0.6]},
-        )
-        lines = text.splitlines()
-        assert len(lines) == 3 + 3  # title + header + separator + 3 rows
-        assert "ILS" in lines[1] and "SEA" in lines[1]
-        assert "0.600" in lines[-1]
 
 
 class TestWriteCsv:
