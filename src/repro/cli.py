@@ -17,7 +17,8 @@ Commands
     every record against the event schema.
 ``serve`` / ``query``
     Run the deadline-driven join service (:mod:`repro.service`) over
-    registered datasets / issue one request against a running server.
+    registered datasets / issue one request against a running server or
+    fleet router.
 ``chaos``
     Fire a burst of deadline-bounded queries at a running server (usually
     one started with ``serve --fault-plan``) and assert the robustness
@@ -40,7 +41,7 @@ import argparse
 import asyncio
 import json
 import sys
-from typing import Sequence
+from typing import Any, Callable, Coroutine, Sequence
 
 from .core import (
     Budget,
@@ -221,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "recovered from a worker crash")
 
     query = commands.add_parser(
-        "query", help="issue one request against a running join service"
+        "query", help="issue one request against a running join service "
+        "or fleet router"
     )
     query.add_argument("--host", default="127.0.0.1")
     query.add_argument("--port", type=int, required=True)
@@ -242,9 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--restarts", type=_positive_int, default=1)
     query.add_argument("--no-cache", action="store_true",
                        help="bypass the server's solution cache")
+    query.add_argument("--fanout", type=_positive_int, default=None,
+                       help="fleet routers: contact only the k cheapest "
+                       "healthy shards (default: all)")
 
     fleet = commands.add_parser(
-        "fleet", help="partition, serve and query a sharded fleet "
+        "fleet", help="partition, serve and inspect a sharded fleet "
         "(one JoinServer per spatial shard behind a cost-model router)"
     )
     fleet_commands = fleet.add_subparsers(dest="fleet_command", required=True)
@@ -310,24 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_serve.add_argument("--fault-plan", metavar="PATH", default=None,
                              help="chaos plan activated in the router "
                              "(fleet.dispatch site: simulated shard loss)")
-    fleet_query = fleet_commands.add_parser(
-        "query", help="issue one routed solve against a fleet router"
-    )
-    fleet_query.add_argument("--host", default="127.0.0.1")
-    fleet_query.add_argument("--port", type=int, required=True)
-    fleet_query.add_argument("--instance", required=True,
-                             help="fleet name (the router's routed instance)")
-    fleet_query.add_argument("--deadline", type=float, default=None)
-    fleet_query.add_argument("--max-iterations", type=_positive_int,
-                             default=None)
-    fleet_query.add_argument("--algorithm", default=None,
-                             choices=["ils", "gils", "sea", "isa"])
-    fleet_query.add_argument("--seed", type=int, default=0)
-    fleet_query.add_argument("--restarts", type=_positive_int, default=1)
-    fleet_query.add_argument("--fanout", type=_positive_int, default=None,
-                             help="contact only the k cheapest healthy "
-                             "shards (default: all)")
-    fleet_query.add_argument("--no-cache", action="store_true")
     fleet_status = fleet_commands.add_parser(
         "status", help="per-shard health/cost/dispatch table of a router"
     )
@@ -542,6 +529,24 @@ def _parse_registrations(pairs: list[str], flag: str) -> list[tuple[str, str]]:
     return parsed
 
 
+def _run_serving(
+    serve: Callable[[], Coroutine[Any, Any, None]], trace: str | None
+) -> int:
+    """Run one serving loop, under a JSONL trace when ``trace`` names a file."""
+    if trace is None:
+        asyncio.run(serve())
+        return 0
+    observation = Observation(sink=JsonlSink(trace))
+    try:
+        with observe(observation):
+            asyncio.run(serve())
+            observation.emit_metrics()
+    finally:
+        observation.close()
+    print(f"trace: {trace}")
+    return 0
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     registry = DatasetRegistry()
     try:
@@ -600,18 +605,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       f"{report['unlinked']} segment(s) unlinked, "
                       f"{len(report['leaked'])} leaked", flush=True)
 
-    if args.trace is None:
-        asyncio.run(_serve())
-        return 0
-    observation = Observation(sink=JsonlSink(args.trace))
-    try:
-        with observe(observation):
-            asyncio.run(_serve())
-            observation.emit_metrics()
-    finally:
-        observation.close()
-    print(f"trace: {args.trace}")
-    return 0
+    return _run_serving(_serve, args.trace)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -627,45 +621,54 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
             print(json.dumps(response, indent=2, sort_keys=True))
             return 0 if response.get("status") == "ok" else 1
-        fields: dict[str, object] = {
+        record: dict[str, object] = {
+            "v": 1,
+            "op": "solve",
+            "id": "cli-solve",
             "seed": args.seed,
             "restarts": args.restarts,
             "cache": not args.no_cache,
         }
         if args.instance is not None:
-            fields["instance"] = args.instance
+            record["instance"] = args.instance
         elif args.query is not None:
             if args.variables is None or args.datasets is None:
                 print("--query needs --variables and --datasets", file=sys.stderr)
                 return 1
-            fields["query"] = {"type": args.query, "variables": args.variables}
-            fields["datasets"] = args.datasets
+            record["query"] = {"type": args.query, "variables": args.variables}
+            record["datasets"] = args.datasets
         else:
             print("query solve needs --instance or --query", file=sys.stderr)
             return 1
-        if args.deadline is not None:
-            fields["deadline"] = args.deadline
-        if args.max_iterations is not None:
-            fields["max_iterations"] = args.max_iterations
-        if args.algorithm is not None:
-            fields["algorithm"] = args.algorithm
-        response = client.solve(check=False, **fields)  # type: ignore[arg-type]
-        if response.get("status") != "ok":
-            error = response.get("error", {})
-            print(f"error: {error.get('code')} — {error.get('message')} "
-                  f"(retryable: {error.get('retryable')})", file=sys.stderr)
-            return 1
-        print(f"cache: {'hit' if response['cached'] else 'miss'}")
-        if "warm_started" in response:
-            print(f"warm: {'started' if response['warm_started'] else 'cold'}")
-        print(f"result: {'exact' if response['exact'] else 'approximate'} "
-              f"violations={response['violations']} "
-              f"similarity={response['similarity']:.4f}")
-        print(f"search: algorithm={response['algorithm']} "
-              f"iterations={response['iterations']} "
-              f"elapsed={response['elapsed']:.3f}s")
-        print(f"assignment: {response['assignment']}")
-        return 0
+        for field in ("deadline", "max_iterations", "algorithm", "fanout"):
+            if getattr(args, field) is not None:
+                record[field] = getattr(args, field)
+        response = client.request(record)
+    if response.get("status") != "ok":
+        error = response.get("error", {})
+        print(f"error: {error.get('code')} — {error.get('message')} "
+              f"(retryable: {error.get('retryable')})", file=sys.stderr)
+        return 1
+    print(f"cache: {'hit' if response['cached'] else 'miss'}")
+    if "warm_started" in response:
+        print(f"warm: {'started' if response['warm_started'] else 'cold'}")
+    fleet = response.get("fleet")
+    if fleet is not None and not fleet.get("cached"):
+        print(f"routing: {len(fleet['answered'])}/{fleet['shards']} "
+              f"shard(s) answered (winner {fleet['shard']}, "
+              f"lost {fleet['lost']}, degraded {fleet['degraded']})")
+        if fleet["failover"] or fleet["hedged"]:
+            print(f"healing: failover {fleet['failover']}, "
+                  f"hedged {fleet['hedged']}")
+    print(f"result: {'exact' if response['exact'] else 'approximate'} "
+          f"violations={response['violations']} "
+          f"similarity={response['similarity']:.4f}"
+          + (" recovered" if response.get("recovered") else ""))
+    print(f"search: algorithm={response['algorithm']} "
+          f"iterations={response['iterations']} "
+          f"elapsed={response['elapsed']:.3f}s")
+    print(f"assignment: {response['assignment']}")
+    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -708,7 +711,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return {
         "partition": _cmd_fleet_partition,
         "serve": _cmd_fleet_serve,
-        "query": _cmd_fleet_query,
         "status": _cmd_fleet_status,
     }[args.fleet_command](args)
 
@@ -829,71 +831,7 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
         finally:
             await handle.stop()
 
-    if args.trace is None:
-        asyncio.run(_serve())
-        return 0
-    observation = Observation(sink=JsonlSink(args.trace))
-    try:
-        with observe(observation):
-            asyncio.run(_serve())
-            observation.emit_metrics()
-    finally:
-        observation.close()
-    print(f"trace: {args.trace}")
-    return 0
-
-
-def _cmd_fleet_query(args: argparse.Namespace) -> int:
-    try:
-        client = JoinClient(args.host, args.port)
-    except OSError as error:
-        print(f"cannot connect to {args.host}:{args.port}: {error}",
-              file=sys.stderr)
-        return 1
-    record: dict[str, object] = {
-        "v": 1,
-        "op": "solve",
-        "id": "cli-fleet-solve",
-        "instance": args.instance,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "cache": not args.no_cache,
-    }
-    if args.deadline is not None:
-        record["deadline"] = args.deadline
-    if args.max_iterations is not None:
-        record["max_iterations"] = args.max_iterations
-    if args.algorithm is not None:
-        record["algorithm"] = args.algorithm
-    if args.fanout is not None:
-        record["fanout"] = args.fanout
-    with client:
-        response = client.request(record)
-    if response.get("status") != "ok":
-        error = response.get("error", {})
-        print(f"error: {error.get('code')} — {error.get('message')} "
-              f"(retryable: {error.get('retryable')})", file=sys.stderr)
-        return 1
-    print(f"cache: {'hit' if response['cached'] else 'miss'}")
-    fleet = response.get("fleet", {})
-    if not fleet.get("cached"):
-        print(f"routing: {len(fleet.get('answered', []))}/"
-              f"{fleet.get('shards', '?')} shard(s) answered "
-              f"(winner {fleet.get('shard', '-')}, "
-              f"lost {fleet.get('lost', [])}, "
-              f"degraded {fleet.get('degraded', False)})")
-        if fleet.get("failover") or fleet.get("hedged"):
-            print(f"healing: failover {fleet.get('failover', [])}, "
-                  f"hedged {fleet.get('hedged', [])}")
-    print(f"result: {'exact' if response['exact'] else 'approximate'} "
-          f"violations={response['violations']} "
-          f"similarity={response['similarity']:.4f}"
-          + (" recovered" if response.get("recovered") else ""))
-    print(f"search: algorithm={response['algorithm']} "
-          f"iterations={response['iterations']} "
-          f"elapsed={response['elapsed']:.3f}s")
-    print(f"assignment: {response['assignment']}")
-    return 0
+    return _run_serving(_serve, args.trace)
 
 
 def _cmd_fleet_status(args: argparse.Namespace) -> int:

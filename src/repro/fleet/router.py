@@ -1,7 +1,8 @@
 """The fleet router: cost-planned scatter/merge over per-shard servers.
 
-:class:`FleetRouter` speaks the exact JSON-lines protocol of
-:class:`~repro.service.server.JoinServer`, so every existing client —
+:class:`FleetRouter` shares :class:`~repro.service.server.JoinServer`'s
+JSON-lines front end (:class:`~repro.service.frame.LineFrame`: listener,
+read loop, request accounting, ``shutdown``), so every existing client —
 ``JoinClient``, ``AsyncJoinClient``, the CLI ``query``/``chaos``
 commands — talks to a fleet without changes.  One solve request flows:
 
@@ -50,7 +51,6 @@ dispatch, so the rebind takes effect on the very next scatter.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -68,13 +68,8 @@ from ..obs import current
 from ..service.admission import MIN_SOLVE_SECONDS, AdmissionController
 from ..service.cache import CacheEntry, SolutionCache, canonical_query_key, solve_cache_key
 from ..service.client import AsyncJoinClient
-from ..service.errors import classify_exception
-from ..service.protocol import (
-    PROTOCOL_VERSION,
-    error_response,
-    ok_response,
-    validate_request,
-)
+from ..service.frame import LineFrame
+from ..service.protocol import PROTOCOL_VERSION, error_response, ok_response
 from .partition import FleetSpec, ShardSpec
 
 __all__ = [
@@ -162,8 +157,11 @@ class _TilePlan:
     failover: bool = False
 
 
-class FleetRouter:
+class FleetRouter(LineFrame):
     """JSON-lines router scattering solves across per-shard JoinServers.
+
+    The JSON-lines front end (listener, read loop, request accounting,
+    ``shutdown``) is :class:`~repro.service.frame.LineFrame`'s.
 
     Parameters
     ----------
@@ -188,6 +186,9 @@ class FleetRouter:
         :data:`SITE_FLEET_DISPATCH` site lives here.
     """
 
+    NAMESPACE = "fleet"
+    ROLE = "router"
+
     def __init__(
         self,
         spec: FleetSpec,
@@ -206,10 +207,9 @@ class FleetRouter:
         missing = [s.name for s in spec.shards if s.name not in endpoints]
         if missing:
             raise ValueError(f"no endpoint for shards {missing}")
+        super().__init__(host, port)
         self.spec = spec
         self.endpoints = {name: tuple(addr) for name, addr in endpoints.items()}
-        self._host = host
-        self._port = port
         self.admission = AdmissionController(
             max_pending=max_pending,
             default_deadline=default_deadline,
@@ -230,8 +230,6 @@ class FleetRouter:
         #: shard *servers* (one per tile, same names) — health, load and
         #: latency bookkeeping is per server, planning is per tile
         self._servers = list(self._shards)
-        self.requests_total = 0
-        self.errors_total = 0
         self.degraded_total = 0
         self.failover_total = 0
         self.hedges_launched = 0
@@ -270,43 +268,20 @@ class FleetRouter:
         #: attached by FleetHandle when supervision is on (status only)
         self.supervisor: Any | None = None
         self._previous_plan: FaultPlan | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._shutdown: asyncio.Event | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._connections: set[asyncio.Task[None]] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` actually bound (valid after :meth:`start`)."""
-        return self._host, self._port
-
     async def start(self) -> None:
         if self.fault_plan is not None:
             # plan-less routers leave the global slot alone (an ambient
             # plan installed around the fleet must survive our start)
             self._previous_plan = activate_plan(self.fault_plan)
-        self._shutdown = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
-        )
-        sockets = self._server.sockets or ()
-        if sockets:
-            self._port = sockets[0].getsockname()[1]
+        await self._listen()
         current().gauge("fleet.shards.healthy").set(len(self._servers))
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-        for writer in list(self._writers):
-            writer.close()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
-            self._server = None
+        await self._close()
         for probe in list(self._probes.values()):
             probe.cancel()
         if self._probes:
@@ -315,17 +290,6 @@ class FleetRouter:
         if self.fault_plan is not None:
             activate_plan(self._previous_plan)
             self._previous_plan = None
-
-    async def wait_for_shutdown(self) -> None:
-        assert self._shutdown is not None
-        await self._shutdown.wait()
-
-    async def serve_until_shutdown(self) -> None:
-        await self.start()
-        try:
-            await self.wait_for_shutdown()
-        finally:
-            await self.stop()
 
     # ------------------------------------------------------------------
     # health bookkeeping (shared by legs, probes and the supervisor)
@@ -382,86 +346,8 @@ class FleetRouter:
         self._set_health(server, True)
 
     # ------------------------------------------------------------------
-    # connection handling (same skeleton as JoinServer)
+    # dispatch
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.CancelledError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                response = await self._handle_line(line)
-                payload = json.dumps(response, sort_keys=True) + "\n"
-                try:
-                    writer.write(payload.encode("utf-8"))
-                    await writer.drain()
-                except ConnectionError:
-                    break
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_line(self, line: bytes) -> dict[str, Any]:
-        """One request line → one response record (never raises)."""
-        obs = current()
-        stopwatch = Stopwatch()
-        self.requests_total += 1
-        obs.counter("fleet.requests").inc()
-        request_id, op = "?", "?"
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            response = error_response(request_id, op, "bad_request", f"invalid JSON: {error}")
-            self._finish(obs, op, response, stopwatch)
-            return response
-        if isinstance(record, dict):
-            raw_id, raw_op = record.get("id"), record.get("op")
-            request_id = raw_id if isinstance(raw_id, str) else "?"
-            op = raw_op if isinstance(raw_op, str) else "?"
-        try:
-            validate_request(record)
-        except ValueError as error:
-            response = error_response(request_id, op, "bad_request", str(error))
-            self._finish(obs, op, response, stopwatch)
-            return response
-        if self._shutdown is not None and self._shutdown.is_set():
-            response = error_response(request_id, op, "shutting_down", "router is draining")
-            self._finish(obs, op, response, stopwatch)
-            return response
-        try:
-            response = await self._dispatch(record, request_id, op)
-        except Exception as error:  # noqa: BLE001 - connection must survive
-            classified = classify_exception(error)
-            response = error_response(request_id, op, classified.code, classified.message)
-        self._finish(obs, op, response, stopwatch)
-        return response
-
-    def _finish(
-        self, obs: Any, op: str, response: dict[str, Any], stopwatch: Stopwatch
-    ) -> None:
-        status = response.get("status", "error")
-        if status != "ok":
-            self.errors_total += 1
-        elapsed = stopwatch.elapsed()
-        obs.histogram("fleet.latency").observe(elapsed)
-        obs.event("request", op=op, status=str(status), elapsed=elapsed)
-
     async def _dispatch(
         self, record: dict[str, Any], request_id: str, op: str
     ) -> dict[str, Any]:
@@ -494,10 +380,6 @@ class FleetRouter:
                 "a fleet's topology is fixed at partition time; "
                 "register datasets on the shards and re-partition",
             )
-        if op == "shutdown":
-            assert self._shutdown is not None
-            self._shutdown.set()
-            return ok_response(request_id, op, stopping=True)
         assert op == "solve"
         return await self._handle_solve(record, request_id)
 
@@ -879,21 +761,11 @@ class FleetRouter:
             entry = self.cache.get(cache_key)
             if entry is not None:
                 obs.counter("fleet.cache.hit").inc()
-                return ok_response(
+                return entry.hit_response(
                     request_id,
-                    "solve",
-                    cached=True,
-                    assignment=entry.assignment_for(order),
-                    violations=entry.violations,
-                    similarity=entry.similarity,
-                    exact=entry.violations == 0,
-                    approximate=entry.violations != 0,
-                    iterations=entry.iterations,
-                    elapsed=entry.elapsed,
-                    algorithm=entry.algorithm,
+                    order,
                     seed=seed,
                     restarts=restarts,
-                    recovered=False,
                     fleet={"shards": len(self._shards), "cached": True},
                 )
             obs.counter("fleet.cache.miss").inc()

@@ -12,6 +12,8 @@ package turns the batch library into a long-running multi-tenant server:
   canonical query signature so isomorphic queries hit;
 * :mod:`repro.service.admission` — bounded admission with load shedding
   and per-request deadline budgets built on :class:`repro.core.budget.Budget`;
+* :mod:`repro.service.frame` — the JSON-lines front end (listener, read
+  loop, request accounting) the server and the fleet router share;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the asyncio
   JSON-lines server dispatching solves onto a ``ProcessPoolExecutor``
   (via :func:`repro.core.parallel.parallel_restarts`) and its clients.

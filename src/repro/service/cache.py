@@ -34,6 +34,7 @@ from typing import Any, Callable, Sequence
 
 from ..core.budget import Stopwatch
 from ..query.graph import QueryGraph
+from .protocol import ok_response
 
 __all__ = [
     "MAX_ORDERINGS",
@@ -213,6 +214,37 @@ class CacheEntry:
         for position, variable in enumerate(order):
             assignment[variable] = self.assignment[position]
         return assignment
+
+    def hit_response(
+        self,
+        request_id: str,
+        order: Sequence[int],
+        *,
+        seed: int,
+        restarts: int,
+        **extra: Any,
+    ) -> dict[str, Any]:
+        """The ``solve`` reply a cache hit sends, in the requester's numbering.
+
+        ``extra`` carries endpoint-specific blocks (the router's ``fleet``).
+        """
+        return ok_response(
+            request_id,
+            "solve",
+            cached=True,
+            assignment=self.assignment_for(order),
+            violations=self.violations,
+            similarity=self.similarity,
+            exact=self.violations == 0,
+            approximate=self.violations != 0,
+            iterations=self.iterations,
+            elapsed=self.elapsed,
+            algorithm=self.algorithm,
+            seed=seed,
+            restarts=restarts,
+            recovered=False,
+            **extra,
+        )
 
     @classmethod
     def from_result(

@@ -29,11 +29,9 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import json
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any
 
-from ..core.budget import Stopwatch
 from ..faults import FaultPlan, activate_plan
 from ..obs import current, merge_states, replay_into
 from ..query.hardness import ProblemInstance
@@ -41,12 +39,8 @@ from ..warm.plane import WarmPlane
 from .admission import AdmissionController
 from .cache import CacheEntry, SolutionCache, canonical_query_key, solve_cache_key
 from .errors import classify_exception
-from .protocol import (
-    PROTOCOL_VERSION,
-    error_response,
-    ok_response,
-    validate_request,
-)
+from .frame import LineFrame
+from .protocol import PROTOCOL_VERSION, error_response, ok_response
 from .registry import DatasetRegistry
 from .worker import SolveJob, build_query, init_service_worker, run_solve_job
 
@@ -63,8 +57,11 @@ WORKER_GRACE_SECONDS = 30.0
 MAX_JOB_RETRIES = 3
 
 
-class JoinServer:
+class JoinServer(LineFrame):
     """Deadline-driven multiway-join query service.
+
+    The JSON-lines front end (listener, read loop, request accounting,
+    ``shutdown``) is :class:`~repro.service.frame.LineFrame`'s.
 
     Parameters
     ----------
@@ -99,6 +96,9 @@ class JoinServer:
         default) injects nothing.
     """
 
+    NAMESPACE = "service"
+    ROLE = "server"
+
     def __init__(
         self,
         registry: DatasetRegistry,
@@ -120,9 +120,8 @@ class JoinServer:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if executor not in ("process", "thread"):
             raise ValueError(f"executor must be 'process' or 'thread', got {executor!r}")
+        super().__init__(host, port)
         self.registry = registry
-        self._host = host
-        self._port = port
         self.workers = workers
         self.executor_kind = executor
         self.admission = AdmissionController(
@@ -138,8 +137,6 @@ class JoinServer:
         self.warm = (executor == "process") if warm is None else bool(warm)
         self.default_algorithm = default_algorithm
         self.fault_plan = fault_plan if (fault_plan is not None and fault_plan) else None
-        self.requests_total = 0
-        self.errors_total = 0
         self.pool_rebuilds = 0
         self.jobs_retried = 0
         #: request classification for the cross-request incumbent tier
@@ -157,20 +154,11 @@ class JoinServer:
         #: names shipped to process workers at pool creation; anything
         #: registered later (or memory-only) is solved from an inline copy
         self._worker_names: set[str] | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._shutdown: asyncio.Event | None = None
         self._stopped = False
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._connections: set[asyncio.Task[None]] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """``(host, port)`` actually bound (valid after :meth:`start`)."""
-        return self._host, self._port
-
     def _build_process_executor(self) -> ProcessPoolExecutor:
         spec = self.registry.spec()
         if self.warm:
@@ -233,13 +221,7 @@ class JoinServer:
                     # global slot — it would deactivate a chaos plan some
                     # other component (e.g. the fleet router) installed.
                     self._previous_plan = activate_plan(self.fault_plan)
-        self._shutdown = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
-        )
-        sockets = self._server.sockets or ()
-        if sockets:
-            self._port = sockets[0].getsockname()[1]
+        await self._listen()
 
     async def stop(self) -> None:
         """Close the listener, drop open connections, shut the pool down.
@@ -251,15 +233,7 @@ class JoinServer:
         if self._stopped:
             return
         self._stopped = True
-        if self._server is not None:
-            self._server.close()
-        for writer in list(self._writers):
-            writer.close()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
-            self._server = None
+        await self._close()
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
@@ -271,111 +245,6 @@ class JoinServer:
             # the lifecycle report (tests assert ``leaked == []``)
             self.warm_report = self._warm_plane.shutdown()
             self._warm_plane = None
-
-    async def wait_for_shutdown(self) -> None:
-        """Block until a ``shutdown`` request arrives (after :meth:`start`)."""
-        assert self._shutdown is not None
-        await self._shutdown.wait()
-
-    async def serve_until_shutdown(self) -> None:
-        """Start, then block until a ``shutdown`` request arrives."""
-        await self.start()
-        try:
-            await self.wait_for_shutdown()
-        finally:
-            await self.stop()
-
-    def run(self) -> None:
-        """Synchronous convenience wrapper around :meth:`serve_until_shutdown`."""
-        asyncio.run(self.serve_until_shutdown())
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.CancelledError):
-                    # cancellation only arrives at teardown; finish cleanly
-                    # so the stream protocol does not log a spurious error
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                response = await self._handle_line(line)
-                payload = json.dumps(response, sort_keys=True) + "\n"
-                try:
-                    writer.write(payload.encode("utf-8"))
-                    await writer.drain()
-                except ConnectionError:
-                    break
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_line(self, line: bytes) -> dict[str, Any]:
-        """One request line → one response record (never raises)."""
-        obs = current()
-        stopwatch = Stopwatch()
-        self.requests_total += 1
-        obs.counter("service.requests").inc()
-        request_id, op = "?", "?"
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            response = error_response(request_id, op, "bad_request", f"invalid JSON: {error}")
-            self._finish(obs, op, response, stopwatch)
-            return response
-        if isinstance(record, dict):
-            raw_id, raw_op = record.get("id"), record.get("op")
-            request_id = raw_id if isinstance(raw_id, str) else "?"
-            op = raw_op if isinstance(raw_op, str) else "?"
-        try:
-            validate_request(record)
-        except ValueError as error:
-            response = error_response(request_id, op, "bad_request", str(error))
-            self._finish(obs, op, response, stopwatch)
-            return response
-        if self._shutdown is not None and self._shutdown.is_set():
-            response = error_response(
-                request_id, op, "shutting_down", "server is draining"
-            )
-            self._finish(obs, op, response, stopwatch)
-            return response
-        try:
-            response = await self._dispatch(record, request_id, op)
-        except Exception as error:  # noqa: BLE001 - connection must survive
-            classified = classify_exception(error)
-            response = error_response(
-                request_id, op, classified.code, classified.message
-            )
-        self._finish(obs, op, response, stopwatch)
-        return response
-
-    def _finish(
-        self, obs: Any, op: str, response: dict[str, Any], stopwatch: Stopwatch
-    ) -> None:
-        """Request accounting: latency histogram + ``request`` log event."""
-        status = response.get("status", "error")
-        if status != "ok":
-            self.errors_total += 1
-        elapsed = stopwatch.elapsed()
-        obs.histogram("service.latency").observe(elapsed)
-        obs.event("request", op=op, status=str(status), elapsed=elapsed)
 
     async def _dispatch(
         self, record: dict[str, Any], request_id: str, op: str
@@ -393,10 +262,6 @@ class JoinServer:
             return ok_response(request_id, op, **self.stats())
         if op == "register":
             return self._handle_register(record, request_id)
-        if op == "shutdown":
-            assert self._shutdown is not None
-            self._shutdown.set()
-            return ok_response(request_id, op, stopping=True)
         assert op == "solve"
         return await self._handle_solve(record, request_id)
 
@@ -508,20 +373,8 @@ class JoinServer:
                 obs.counter("service.cache.hit").inc()
                 obs.counter("service.warm.exact_hit").inc()
                 self.warm_exact_hits += 1
-                return ok_response(
-                    request_id,
-                    "solve",
-                    cached=True,
-                    assignment=entry.assignment_for(order),
-                    violations=entry.violations,
-                    similarity=entry.similarity,
-                    exact=entry.violations == 0,
-                    approximate=entry.violations != 0,
-                    iterations=entry.iterations,
-                    elapsed=entry.elapsed,
-                    algorithm=entry.algorithm,
-                    seed=seed,
-                    restarts=restarts,
+                return entry.hit_response(
+                    request_id, order, seed=seed, restarts=restarts
                 )
             obs.counter("service.cache.miss").inc()
             # near-miss tier: an isomorphic query solved under different

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro import QueryGraph, hard_instance
+from repro.cli import main as cli_main
 from repro.core.budget import Stopwatch
 from repro.faults import (
     SITE_FLEET_DISPATCH,
@@ -299,6 +300,21 @@ class TestRouter:
             response = client.request(solve_record(fanout=0))
         assert response["status"] == "error"
         assert response["error"]["code"] == "bad_request"
+
+    def test_cli_query_prints_routing_with_fanout(self, fleet, capsys):
+        host, port = fleet.address
+        assert cli_main([
+            "query", "--host", host, "--port", str(port),
+            "--instance", "twoshard", "--deadline", "5.0",
+            "--max-iterations", "400", "--seed", "4", "--fanout", "1",
+            "--no-cache",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "cache: miss" in out
+        assert "routing: 1/2 shard(s) answered" in out
+        assert "degraded False" in out
+        # one tile of two: partial coverage is approximate
+        assert "result: approximate" in out
 
     def test_merged_answers_are_cached(self, fleet):
         with JoinClient(*fleet.address) as client:

@@ -13,7 +13,6 @@ depend on concurrency.
 from __future__ import annotations
 
 import asyncio
-import socket
 import threading
 import time
 
@@ -531,19 +530,6 @@ class TestServerBasics:
                     deadline=1.0,
                 )
             assert excinfo.value.code == "bad_request"
-
-    def test_malformed_line_gets_structured_error(self, server):
-        # below the client layer: raw garbage on the wire must come back as
-        # a bad_request response, not a dropped connection
-        import json
-
-        host, port = server.address
-        with socket.create_connection((host, port), timeout=10) as raw:
-            raw.sendall(b"this is not json\n")
-            response = json.loads(raw.makefile("r").readline())
-        assert response["status"] == "error"
-        assert response["error"]["code"] == "bad_request"
-        assert response["error"]["retryable"] is False
 
     def test_register_op_adds_instance(self, server, instance_dir):
         with JoinClient(*server.address) as client:
