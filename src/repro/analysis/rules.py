@@ -24,7 +24,7 @@ RL009             ``SharedMemory`` constructions in ``warm/`` outside a
                   context manager or a ``try`` with reachable
                   ``close()``/``unlink()`` cleanup
 RL010             blocking calls transitively reachable from ``async
-                  def`` handlers in ``service/``
+                  def`` handlers in ``service/`` and ``fleet/``
 RL011             attached warm-plane arrays flowing into in-place
                   NumPy mutation without ``.copy()``
 RL012             non-spec values crossing the process-pool pickle
@@ -871,10 +871,11 @@ class SharedMemoryLifecycle(Checker):
 # ----------------------------------------------------------------------
 @register
 class AsyncBlocking(ProjectChecker):
-    """No ``async def`` in ``service/`` may transitively reach a blocking call.
+    """No ``async def`` in ``service/`` or ``fleet/`` may reach a blocking call.
 
-    The join server is a single event loop; one synchronous file read or
-    ``time.sleep`` on a handler path stalls *every* connection.  The rule
+    The join server, the fleet router and the shard supervisor each run
+    on a single event loop; one synchronous file read or ``time.sleep``
+    on a handler path stalls *every* connection.  The rule
     walks the whole-program call graph from each async handler and flags
     the first edge on any path that bottoms out in a blocking API.
     Arguments of ``loop.run_in_executor(...)`` / ``asyncio.to_thread(...)``
@@ -884,7 +885,7 @@ class AsyncBlocking(ProjectChecker):
 
     rule = "RL010"
     description = (
-        "blocking call transitively reachable from an async service handler"
+        "blocking call transitively reachable from an async service/fleet handler"
     )
 
     #: exact opaque/resolved targets that block the calling thread
@@ -924,10 +925,12 @@ class AsyncBlocking(ProjectChecker):
             return True
         return target.endswith(self.BLOCKING_TAILS)
 
-    @staticmethod
-    def _in_service(function: FunctionInfo) -> bool:
+    #: packages whose async defs run on a serving event loop
+    LOOP_PACKAGES = frozenset({"service", "fleet"})
+
+    def _on_loop(self, function: FunctionInfo) -> bool:
         parts = function.path.split("/")
-        return "service" in parts[:-1] and "tests" not in parts
+        return bool(self.LOOP_PACKAGES.intersection(parts[:-1])) and "tests" not in parts
 
     def check_project(self, model: ProjectModel) -> Iterator[Finding]:
         # which sync functions reach a blocking edge (async defs do not
@@ -937,7 +940,7 @@ class AsyncBlocking(ProjectChecker):
         )
         for qualname in sorted(model.functions):
             function = model.functions[qualname]
-            if not function.is_async or not self._in_service(function):
+            if not function.is_async or not self._on_loop(function):
                 continue
             entry = f"{function.qualname} [{function.path}]"
             for edge in function.edges:
@@ -1206,7 +1209,7 @@ class FaultSiteConsistency(ProjectChecker):
     ``fault_point("typo.site")`` never fires and a declared site with no
     remaining call site silently turns every plan targeting it into a
     no-op.  The rule cross-references each ``fault_point(...)`` /
-    ``corruption_at(...)`` first argument (and ``FaultSpec(site=...)``
+    ``fault_delay(...)`` / ``corruption_at(...)`` first argument (and ``FaultSpec(site=...)``
     literals) against the ``SITE_*`` constants of ``faults/hooks.py``
     and reports both directions: undeclared references and dead
     declarations.
@@ -1216,7 +1219,7 @@ class FaultSiteConsistency(ProjectChecker):
     description = "fault_point sites must match the faults/hooks.py registry"
 
     HOOKS_SUFFIX = "faults/hooks.py"
-    REFERENCE_CALLS = frozenset({"fault_point", "corruption_at"})
+    REFERENCE_CALLS = frozenset({"fault_point", "fault_delay", "corruption_at"})
     SITE_PREFIX = "SITE_"
 
     def check_project(self, model: ProjectModel) -> Iterator[Finding]:
@@ -1269,7 +1272,7 @@ class FaultSiteConsistency(ProjectChecker):
                     rule=self.rule,
                     message=(
                         f"declared fault site {name} ({value!r}) is never "
-                        f"referenced by any fault_point/corruption_at"
+                        f"referenced by any fault_point/fault_delay/corruption_at"
                     ),
                     hint="wire the site into its subsystem or delete the "
                     "declaration; plans targeting it are silent no-ops",

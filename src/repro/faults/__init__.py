@@ -16,8 +16,9 @@ Three pieces, all stdlib-only and importable from anywhere in the engine:
   identically across worker counts and dispatch orders.
 * :mod:`repro.faults.hooks` — the injectable hooks instrumented code
   calls: :func:`fault_point` (one global read when no plan is active, the
-  same zero-cost discipline as the disabled observation) and
-  :func:`checkpoint_incumbent` (heuristics publish incumbent improvements
+  same zero-cost discipline as the disabled observation), its event-loop
+  form :func:`fault_delay` (returns a hang's delay for the caller to
+  await instead of sleeping it) and :func:`checkpoint_incumbent` (heuristics publish incumbent improvements
   to whatever recovery channel the driver installed).
 * :mod:`repro.faults.chaos` — canned scenario plans (crash member k, hang
   every N-th job, …) plus :func:`run_chaos_queries`, the client-side storm
@@ -53,6 +54,7 @@ from .hooks import (
     checkpoint_incumbent,
     checkpointing,
     corruption_at,
+    fault_delay,
     fault_point,
     inject,
     set_checkpoint_hook,
@@ -66,6 +68,7 @@ __all__ = [
     "InjectedCrash",
     "InjectedError",
     "fault_point",
+    "fault_delay",
     "corruption_at",
     "checkpoint_incumbent",
     "activate_plan",

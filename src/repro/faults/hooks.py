@@ -10,6 +10,8 @@ Instrumented code calls two module-level hooks:
     :class:`InjectedCrash`, ``error`` raises :class:`InjectedError`,
     ``hang``/``slow`` sleep the spec's delay, and ``corrupt`` is reported
     to the caller (only the call site knows how to corrupt its payload).
+    :func:`fault_delay` is the same site for code on an event loop: it
+    returns the delay instead of sleeping it, and the caller awaits it.
 
 :func:`checkpoint_incumbent`
     Publishes an incumbent improvement (assignment + score) to whatever
@@ -34,6 +36,7 @@ __all__ = [
     "InjectedCrash",
     "InjectedError",
     "fault_point",
+    "fault_delay",
     "corruption_at",
     "checkpoint_incumbent",
     "active_plan",
@@ -124,23 +127,37 @@ def fault_point(site: str, index: int = 0, attempt: int = 0, hit: int = 0) -> No
 
     ``crash``/``error`` raise, ``hang``/``slow`` sleep.  ``corrupt``
     specs never fire here — call sites that can corrupt their payload ask
-    :func:`corruption_at` explicitly.
+    :func:`corruption_at` explicitly.  Sites on an event loop call
+    :func:`fault_delay` instead and await the stall themselves.
+    """
+    if _ACTIVE_PLAN is None:
+        return
+    # hang / slow: sleeping is deliberate — supervision timeouts, not
+    # clock reads, are what recover from it (RL002 bans reads, not sleeps)
+    seconds = fault_delay(site, index=index, attempt=attempt, hit=hit)
+    if seconds > 0:
+        time.sleep(seconds)
+
+
+def fault_delay(site: str, index: int = 0, attempt: int = 0, hit: int = 0) -> float:
+    """Fire a fault site without sleeping: the seconds it asks to stall.
+
+    ``crash``/``error`` raise exactly as in :func:`fault_point`; a
+    ``hang``/``slow`` spec returns its delay (``0.0`` when nothing fires)
+    for the caller to ``await asyncio.sleep(...)``, so a fault on an
+    event loop suspends one coroutine instead of the whole loop.
     """
     plan = _ACTIVE_PLAN
     if plan is None:
-        return
+        return 0.0
     spec = plan.match(site, index=index, attempt=attempt, hit=hit)
     if spec is None or spec.kind == "corrupt":
-        return
+        return 0.0
     if spec.kind == "crash":
         raise InjectedCrash(f"injected crash at {site} (index {index})")
     if spec.kind == "error":
         raise InjectedError(f"injected error at {site} (index {index})")
-    # hang / slow: sleeping is deliberate — supervision timeouts, not
-    # clock reads, are what recover from it (RL002 bans reads, not sleeps)
-    seconds = spec.hang_seconds()
-    if seconds > 0:
-        time.sleep(seconds)
+    return spec.hang_seconds()
 
 
 def corruption_at(

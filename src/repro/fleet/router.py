@@ -3,8 +3,8 @@
 :class:`FleetRouter` shares :class:`~repro.service.server.JoinServer`'s
 JSON-lines front end (:class:`~repro.service.frame.LineFrame`: listener,
 read loop, request accounting, ``shutdown``), so every existing client —
-``JoinClient``, ``AsyncJoinClient``, the CLI ``query``/``chaos``
-commands — talks to a fleet without changes.  One solve request flows:
+``JoinClient``, the CLI ``query``/``chaos`` commands — talks to a fleet
+without changes.  One solve request flows:
 
 1. **Plan** — for every tile pick a *host* out of its replica group
    (:attr:`~repro.fleet.partition.ShardSpec.hosts`, primary first): the
@@ -13,13 +13,13 @@ commands — talks to a fleet without changes.  One solve request flows:
    hosts the same tile sub-instance).  Tiles are ranked by their [TSS98]
    cost snapshot biased by current in-flight load, and an optional
    ``fanout`` request field caps how many tiles are contacted.
-2. **Scatter** — one concurrent sub-query per planned tile through a
-   fresh :class:`~repro.service.client.AsyncJoinClient` (connections are
-   sequential request/response, so they are never shared).  Each
-   sub-query gets a slice of the admission ticket's remaining deadline
-   and an even share of the iteration budget; each dispatch crosses the
-   :data:`~repro.faults.SITE_FLEET_DISPATCH` fault site, so chaos plans
-   can kill shards deterministically.  A leg that is *lost* mid-request
+2. **Scatter** — one concurrent sub-query per planned tile, each one
+   :func:`~repro.service.client.exchange` over a fresh connection
+   (connections are sequential request/response, so they are never
+   shared).  Each sub-query gets a slice of the admission ticket's
+   remaining deadline and an even share of the iteration budget; each
+   dispatch crosses the :data:`~repro.faults.SITE_FLEET_DISPATCH` fault
+   site, so chaos plans can kill shards deterministically.  A leg that is *lost* mid-request
    (connection drop, timeout, injected crash) fails over to the tile's
    next replica within the remaining deadline.  When the deadline has
    :data:`HEDGE_HEADROOM` × the predicted shard latency of headroom, a
@@ -44,8 +44,9 @@ down servers, and a background ping probe brings them back — the first
 merged answer a returning server contributes is flagged ``recovered``.
 A :class:`~repro.fleet.supervisor.ShardSupervisor` can additionally
 respawn dead servers; it swaps the fresh (possibly ephemeral) endpoint
-in via :meth:`FleetRouter.update_endpoint` — sub-query clients dial per
-dispatch, so the rebind takes effect on the very next scatter.
+in via :meth:`FleetRouter.update_endpoint` — every sub-query and probe
+dials its own connection, so the new endpoint takes effect on the very
+next scatter.
 """
 
 from __future__ import annotations
@@ -62,12 +63,12 @@ from ..faults import (
     InjectedCrash,
     InjectedError,
     activate_plan,
-    fault_point,
+    fault_delay,
 )
 from ..obs import current
 from ..service.admission import MIN_SOLVE_SECONDS, AdmissionController
 from ..service.cache import CacheEntry, SolutionCache, canonical_query_key, solve_cache_key
-from ..service.client import AsyncJoinClient
+from ..service.client import exchange
 from ..service.frame import LineFrame
 from ..service.protocol import PROTOCOL_VERSION, error_response, ok_response
 from .partition import FleetSpec, ShardSpec
@@ -328,9 +329,10 @@ class FleetRouter(LineFrame):
         The fresh endpoint (possibly a new ephemeral port) replaces the
         old one, any in-flight probe against the stale address is
         cancelled, breaker and latency state reset, and the server
-        rejoins the healthy set owing a ``recovered`` flag.  Sub-query
-        clients dial per dispatch, so the rebind is effective on the
-        next scatter — nothing holds a connection to the old address.
+        rejoins the healthy set owing a ``recovered`` flag.  Every
+        sub-query dials its own connection, so the new endpoint is used
+        on the next scatter — nothing holds a connection to the old
+        address.
         """
         if server not in self._per_shard:
             raise KeyError(f"unknown shard server {server!r}")
@@ -500,16 +502,15 @@ class FleetRouter(LineFrame):
         """Ping a down server; on success it rejoins the healthy set."""
         host, port = self.endpoints[server]
         self.note_probe(server)
+        ping = {"v": PROTOCOL_VERSION, "op": "ping", "id": f"probe@{server}"}
         try:
-            client = await asyncio.wait_for(
-                AsyncJoinClient.connect(host, port), timeout=PROBE_TIMEOUT
+            reply = await asyncio.wait_for(
+                exchange(host, port, ping), timeout=PROBE_TIMEOUT
             )
-            try:
-                await asyncio.wait_for(client.ping(), timeout=PROBE_TIMEOUT)
-            finally:
-                await client.close()
         except (ConnectionError, OSError, asyncio.TimeoutError):
             return
+        if reply.get("status") != "ok":
+            return  # answering but draining: still not routable
         if self.endpoints[server] != (host, port):
             # the endpoint moved (supervisor respawn) while this probe
             # was in flight: its verdict is about the stale address
@@ -525,17 +526,13 @@ class FleetRouter(LineFrame):
     ) -> dict[str, Any]:
         """One sub-query over a fresh connection (sequential protocol)."""
         host, port = self.endpoints[server]
-        client = await AsyncJoinClient.connect(host, port)
-        try:
-            record = {
-                "v": PROTOCOL_VERSION,
-                "op": "solve",
-                "id": f"{tile.name}@{server}-{tag}",
-                **fields,
-            }
-            return await client.request(record)
-        finally:
-            await client.close()
+        record = {
+            "v": PROTOCOL_VERSION,
+            "op": "solve",
+            "id": f"{tile.name}@{server}-{tag}",
+            **fields,
+        }
+        return await exchange(host, port, record)
 
     def _leg_lost(self, server: str, *, mark_down: bool = True) -> None:
         self._per_shard[server]["lost"] += 1
@@ -570,10 +567,13 @@ class FleetRouter(LineFrame):
         self._per_shard[server]["dispatched"] += 1
         base = {"tile": tile.name, "server": server, "hedged": hedged}
         try:
-            fault_point(SITE_FLEET_DISPATCH, index=index)
+            stall = fault_delay(SITE_FLEET_DISPATCH, index=index)
         except (InjectedCrash, InjectedError) as error:
             self._leg_lost(server)
             return {**base, "status": "lost", "reason": str(error)}
+        if stall > 0:
+            # a slow/hang fault suspends this leg only, never the loop
+            await asyncio.sleep(stall)
         self._inflight[server] += 1
         watch = Stopwatch()
         try:
@@ -672,7 +672,7 @@ class FleetRouter(LineFrame):
                 pending, return_when=asyncio.FIRST_COMPLETED
             )
             for task in done:
-                outcome = task.result()
+                outcome = await task
                 if outcome["status"] == "ok" and winner is None:
                     winner = outcome
                 else:

@@ -6,9 +6,10 @@ the rest of the fleet's life.  :class:`ShardSupervisor` closes the loop:
 
 1. **Watch** — a background task probes every shard server each
    :attr:`~SupervisorPolicy.probe_interval` seconds: a protocol ``ping``
-   over a cached :class:`~repro.service.client.AsyncJoinClient` (rebound
-   whenever the endpoint moves) plus, for externally launched shards
-   with a known pid, an ``os.kill(pid, 0)`` liveness check.  A failed
+   through :func:`~repro.service.client.exchange` on a fresh connection
+   to the server's current endpoint (so a respawn's new port is probed
+   from the next round on) plus, for externally launched shards with a
+   known pid, an ``os.kill(pid, 0)`` liveness check.  A failed
    probe marks the server down in the router
    (:meth:`~repro.fleet.router.FleetRouter.mark_down`), so planning
    routes around it immediately; a successful probe of a down server
@@ -45,10 +46,11 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..faults import SITE_FLEET_RESPAWN, fault_point
+from ..faults import SITE_FLEET_RESPAWN, fault_delay
 from ..obs import current
 from ..query.hardness import ProblemInstance
-from ..service.client import AsyncJoinClient
+from ..service.client import exchange
+from ..service.protocol import PROTOCOL_VERSION
 from ..service.registry import DatasetRegistry
 from ..service.server import JoinServer
 from .partition import FleetSpec, load_shard_instance
@@ -177,7 +179,6 @@ class ShardSupervisor:
         self._respawns = 0
         #: servers this supervisor started and therefore owns
         self._owned: dict[str, JoinServer] = {}
-        self._probe_clients: dict[str, AsyncJoinClient] = {}
         self._respawn_tasks: dict[str, asyncio.Task[None]] = {}
         self._watch_task: asyncio.Task[None] | None = None
 
@@ -203,9 +204,6 @@ class ShardSupervisor:
         live = [task for task in tasks if task is not None]
         if live:
             await asyncio.gather(*live, return_exceptions=True)
-        for client in self._probe_clients.values():
-            await client.close()
-        self._probe_clients = {}
         owned = list(self._owned.values())
         self._owned = {}
         for server in owned:
@@ -264,32 +262,21 @@ class ShardSupervisor:
         if pid is not None and not _pid_alive(pid):
             self._log(f"supervisor: {name} pid {pid} is gone")
             return False
-        endpoint = tuple(self.router.endpoints[name])
+        host, port = self.router.endpoints[name]
         self.router.note_probe(name)
-        client = self._probe_clients.get(name)
+        ping = {"v": PROTOCOL_VERSION, "op": "ping", "id": f"supervise@{name}"}
         try:
-            if client is None:
-                client = await asyncio.wait_for(
-                    AsyncJoinClient.connect(*endpoint),
-                    timeout=self.policy.probe_timeout,
-                )
-                self._probe_clients[name] = client
-            elif client.target != endpoint:
-                await asyncio.wait_for(
-                    client.rebind(*endpoint), timeout=self.policy.probe_timeout
-                )
-            await asyncio.wait_for(
-                client.ping(), timeout=self.policy.probe_timeout
+            reply = await asyncio.wait_for(
+                exchange(host, port, ping), timeout=self.policy.probe_timeout
             )
         except (ConnectionError, OSError, asyncio.TimeoutError):
-            stale = self._probe_clients.pop(name, None)
-            if stale is not None:
-                await stale.close()
+            return False
+        if reply.get("status") != "ok":
             return False
         if self._state[name] == _UP and name in self.router.down_servers:
             # the server answered but the router still thinks it is down
             # (e.g. a transient dispatch loss): rejoin it
-            self.router.update_endpoint(name, endpoint)
+            self.router.update_endpoint(name, (host, port))
         return True
 
     # ------------------------------------------------------------------
@@ -303,7 +290,10 @@ class ShardSupervisor:
             self._respawns += 1
             obs.counter("fleet.respawn.attempt").inc()
             try:
-                fault_point(SITE_FLEET_RESPAWN, index=index, attempt=attempt)
+                stall = fault_delay(SITE_FLEET_RESPAWN, index=index, attempt=attempt)
+                if stall > 0:
+                    # a slow/hang fault suspends this respawn, not the loop
+                    await asyncio.sleep(stall)
                 server = await self._spawn(name)
             except asyncio.CancelledError:
                 raise

@@ -16,7 +16,7 @@ package turns the batch library into a long-running multi-tenant server:
   loop, request accounting) the server and the fleet router share;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the asyncio
   JSON-lines server dispatching solves onto a ``ProcessPoolExecutor``
-  (via :func:`repro.core.parallel.parallel_restarts`) and its clients.
+  (via :func:`repro.core.parallel.parallel_restarts`) and its client.
 
 Every request degrades gracefully: on deadline expiry the server returns
 the best-so-far solution flagged ``"approximate": true`` instead of
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from .admission import AdmissionController, Ticket
 from .cache import CacheEntry, SolutionCache, canonical_query_key, solve_cache_key
-from .client import AsyncJoinClient, JoinClient, RetryPolicy, ServiceError
+from .client import JoinClient, RetryPolicy, ServiceError
 from .errors import ClassifiedError, classify_exception
 from .protocol import (
     ERROR_CODES,
@@ -55,7 +55,6 @@ __all__ = [
     "SolutionCache",
     "canonical_query_key",
     "solve_cache_key",
-    "AsyncJoinClient",
     "JoinClient",
     "RetryPolicy",
     "ServiceError",

@@ -1,11 +1,12 @@
-"""Clients for the JSON-lines join service (sync and asyncio flavours).
+"""The client of the JSON-lines join service, and the fleet's one hop.
 
 :class:`JoinClient` is a plain blocking socket client — one connection,
 one request per call, responses matched by the auto-assigned request id.
 It is what the CLI ``query`` subcommand and the integration tests use
 (each thread gets its own client; the class is not thread-safe).
-:class:`AsyncJoinClient` is the same surface over asyncio streams for
-callers already living in an event loop.
+:func:`exchange` is the one asyncio exchange the fleet router and the
+shard supervisor make with a shard server: one fresh connection, one
+request line, one response line.
 
 Both speak the schema in :mod:`repro.service.protocol`: requests are
 validated before they leave the process, so a malformed call fails fast
@@ -32,7 +33,7 @@ from typing import Any, Mapping
 
 from .protocol import PROTOCOL_VERSION, solve_request, validate_request
 
-__all__ = ["JoinClient", "AsyncJoinClient", "RetryPolicy", "ServiceError"]
+__all__ = ["JoinClient", "RetryPolicy", "ServiceError", "exchange"]
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def _raise_for_status(response: dict[str, Any]) -> dict[str, Any]:
 
 
 class _RequestIds:
-    """Monotonic request-id factory shared by both client flavours."""
+    """Monotonic request-id factory (``prefix-1``, ``prefix-2``, ...)."""
 
     def __init__(self, prefix: str) -> None:
         self._prefix = prefix
@@ -140,22 +141,6 @@ class JoinClient:
             (self._host, self._port), timeout=self._timeout
         )
         self._reader = self._socket.makefile("r", encoding="utf-8")
-
-    @property
-    def target(self) -> tuple[str, int]:
-        """The ``(host, port)`` this client dials (re-)connections to."""
-        return self._host, self._port
-
-    def rebind(self, host: str, port: int) -> None:
-        """Point the client at a new endpoint and reconnect.
-
-        This is the failover hook: when a server is respawned on a fresh
-        ephemeral port, callers swap the endpoint in place instead of
-        rebuilding the client (and its retry policy / request-id state).
-        """
-        self._host = host
-        self._port = port
-        self.reconnect()
 
     def close(self) -> dict[str, Any]:
         """Close the connection; idempotent, never raises.
@@ -255,160 +240,29 @@ class JoinClient:
         raise last_error
 
 
-class AsyncJoinClient:
-    """The same client surface over asyncio streams.
+async def exchange(host: str, port: int, record: Mapping[str, Any]) -> dict[str, Any]:
+    """Send one validated request over a fresh connection; return the reply.
 
-    Retries mirror :class:`JoinClient` — the same :class:`RetryPolicy`
-    schedule — but every delay is an ``await asyncio.sleep(...)``: a
-    backoff must suspend the coroutine, never stall the event loop
-    (RL010 guards exactly this in ``service/``).
+    Writes one line, reads one line and closes the connection on every
+    path — a reply, a peer that hangs up without one
+    (:class:`ConnectionError`), or the caller's cancellation.  This is the
+    router's sub-solve and probe hop and the supervisor's probe: each
+    call gets its own connection because the protocol is one sequential
+    request/response per connection.
     """
-
-    def __init__(self, retry: RetryPolicy | None = None) -> None:
-        self._ids = _RequestIds("areq")
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._close_state: dict[str, Any] | None = None
-        self._host = "127.0.0.1"
-        self._port = 0
-        self.retry = retry
-
-    @classmethod
-    async def connect(
-        cls,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        retry: RetryPolicy | None = None,
-    ) -> "AsyncJoinClient":
-        client = cls(retry=retry)
-        client._host = host
-        client._port = port
-        client._reader, client._writer = await asyncio.open_connection(host, port)
-        return client
-
-    async def reconnect(self) -> None:
-        """Drop the current stream (if any) and dial the server again."""
-        await self.close()
-        self._close_state = None
-        self._reader, self._writer = await asyncio.open_connection(
-            self._host, self._port
-        )
-
-    @property
-    def target(self) -> tuple[str, int]:
-        """The ``(host, port)`` this client dials (re-)connections to."""
-        return self._host, self._port
-
-    async def rebind(self, host: str, port: int) -> None:
-        """Point the client at a new endpoint and reconnect.
-
-        The async flavour of :meth:`JoinClient.rebind` — the supervisor
-        uses it to keep one cached probe client per shard server across
-        respawns onto fresh ephemeral ports.
-        """
-        self._host = host
-        self._port = port
-        await self.reconnect()
-
-    async def request(self, record: Mapping[str, Any]) -> dict[str, Any]:
-        assert self._reader is not None and self._writer is not None
-        record = validate_request(dict(record))
-        self._writer.write((json.dumps(record) + "\n").encode("utf-8"))
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        response: dict[str, Any] = json.loads(line)
-        return response
-
-    async def close(self) -> dict[str, Any]:
-        """Close the connection; idempotent, never raises.
-
-        Returns the structured close state (same shape as
-        :meth:`JoinClient.close`): transport errors hit while closing are
-        surfaced in ``"error"`` instead of being silently swallowed.
-        """
-        if self._close_state is not None:
-            return self._close_state
-        state: dict[str, Any] = {"closed": True, "error": None}
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError) as error:
-                state["error"] = f"{type(error).__name__}: {error}"
-        self._close_state = state
-        return state
-
-    @property
-    def close_state(self) -> dict[str, Any] | None:
-        """The result of :meth:`close`, or ``None`` while still open."""
-        return self._close_state
-
-    async def __aenter__(self) -> "AsyncJoinClient":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
-
-    async def _op(self, op: str, **fields: Any) -> dict[str, Any]:
-        record = {"v": PROTOCOL_VERSION, "op": op, "id": self._ids.take(), **fields}
-        return _raise_for_status(await self.request(record))
-
-    async def ping(self) -> dict[str, Any]:
-        return await self._op("ping")
-
-    async def datasets(self) -> dict[str, Any]:
-        return await self._op("datasets")
-
-    async def stats(self) -> dict[str, Any]:
-        return await self._op("stats")
-
-    async def register(self, name: str, path: str) -> dict[str, Any]:
-        return await self._op("register", name=name, path=path)
-
-    async def shutdown(self) -> dict[str, Any]:
-        return await self._op("shutdown")
-
-    async def solve(self, *, check: bool = True, **fields: Any) -> dict[str, Any]:
-        """Issue one solve request (see :meth:`JoinClient.solve`).
-
-        With a :class:`RetryPolicy` installed, retryable errors and
-        dropped connections re-send on the policy's backoff schedule —
-        awaited via ``asyncio.sleep``, so other coroutines keep running.
-        """
-        if self.retry is None:
-            record = solve_request(self._ids.take(), **fields)
-            response = await self.request(record)
-            return _raise_for_status(response) if check else response
-        response = await self._solve_with_retry(self.retry, fields)
-        return _raise_for_status(response) if check else response
-
-    async def _solve_with_retry(
-        self, policy: RetryPolicy, fields: dict[str, Any]
-    ) -> dict[str, Any]:
-        delays = policy.delays()
-        last_error: ConnectionError | None = None
-        last_response: dict[str, Any] | None = None
-        for attempt in range(policy.attempts):
-            if attempt > 0:
-                await asyncio.sleep(delays[attempt - 1])
-            record = solve_request(self._ids.take(), **fields)
-            try:
-                if last_error is not None:
-                    await self.reconnect()
-                    last_error = None
-                response = await self.request(record)
-            except ConnectionError as error:
-                last_error = error
-                continue
-            if response.get("status") == "ok":
-                return response
-            error_payload = response.get("error", {})
-            if not error_payload.get("retryable"):
-                return response
-            last_response = response
-        if last_response is not None:
-            return last_response
-        assert last_error is not None
-        raise last_error
+    line = (json.dumps(validate_request(dict(record))) + "\n").encode("utf-8")
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(line)
+        await writer.drain()
+        reply = await reader.readline()
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+    if not reply:
+        raise ConnectionError("server closed the connection")
+    response: dict[str, Any] = json.loads(reply)
+    return response

@@ -100,19 +100,6 @@ class DatasetRegistry:
         """Register an in-memory problem instance."""
         self._instances[name] = _Entry(kind="memory", value=instance)
 
-    def register_warm_dataset(self, name: str, spec: Any) -> None:
-        """Register a shared-memory dataset by its ``WarmDatasetSpec``.
-
-        The dataset attaches (zero-copy) on first :meth:`dataset` call;
-        warm entries survive :meth:`spec`/:meth:`from_spec`, which is how
-        the server hands published segments to its pool workers.
-        """
-        self._datasets[name] = _Entry(kind="warm", payload=spec)
-
-    def register_warm_instance(self, name: str, spec: Any) -> None:
-        """Register a shared-memory instance by its ``WarmInstanceSpec``."""
-        self._instances[name] = _Entry(kind="warm", payload=spec)
-
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------

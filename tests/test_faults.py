@@ -54,8 +54,9 @@ from repro.service import (
     RetryPolicy,
     classify_exception,
 )
-from repro.service.client import AsyncJoinClient
-from repro.service.protocol import ERROR_CODES
+from repro.service.client import exchange
+from repro.service.frame import LineFrame
+from repro.service.protocol import ERROR_CODES, PROTOCOL_VERSION, ok_response
 
 
 # ----------------------------------------------------------------------
@@ -438,13 +439,13 @@ class TestRetryPolicy:
 
 
 class TestRetrySleepDiscipline:
-    """Regression pins for where the retry backoff sleeps.
+    """Regression pins for what may block the calling thread.
 
-    The sync client owns its thread and may block it with ``time.sleep``;
-    the async client shares an event loop and must ``await
-    asyncio.sleep`` instead — one blocking sleep there stalls every
-    connection the loop serves.  Pinned behaviourally (recorded sleeps)
-    and statically (rule RL010 on the real source).
+    The sync client owns its thread and may block it with ``time.sleep``
+    (pinned behaviourally, by recorded sleeps); :func:`exchange` runs on
+    the fleet's event loop, where one blocking call stalls every
+    connection the loop serves (pinned statically, by rule RL010 on the
+    real source).
     """
 
     RESPONSES = (
@@ -469,36 +470,7 @@ class TestRetrySleepDiscipline:
         # exactly one retry happened, on the policy's schedule
         assert recorded == policy.delays()[:1]
 
-    def test_async_retry_awaits_asyncio_sleep_never_blocks(self, monkeypatch):
-        from repro.service import client as client_module
-
-        policy = RetryPolicy(attempts=3, seed=1)
-        recorded: list[float] = []
-
-        async def fake_sleep(delay: float) -> None:
-            recorded.append(delay)
-
-        def blocked(_delay: float) -> None:
-            raise AssertionError("async retry path must not block the thread")
-
-        monkeypatch.setattr(client_module.asyncio, "sleep", fake_sleep)
-        monkeypatch.setattr(client_module.time, "sleep", blocked)
-        client = AsyncJoinClient(retry=policy)
-        responses = iter(self.RESPONSES)
-
-        async def request(record):
-            return next(responses)
-
-        async def reconnect():
-            raise AssertionError("no connection was dropped")
-
-        client.request = request  # type: ignore[method-assign]
-        client.reconnect = reconnect  # type: ignore[method-assign]
-        response = asyncio.run(client.solve(instance="demo"))
-        assert response["status"] == "ok"
-        assert recorded == policy.delays()[:1]
-
-    def test_rl010_pins_the_async_sleep(self):
+    def test_rl010_pins_the_async_exchange(self):
         from pathlib import Path
 
         from repro.analysis import lint_source
@@ -507,10 +479,10 @@ class TestRetrySleepDiscipline:
         source = (Path(__file__).resolve().parent.parent / path).read_text()
         assert not lint_source(source, path=path, select=["RL010"])
         sabotaged = source.replace(
-            "await asyncio.sleep(delays[attempt - 1])",
-            "time.sleep(delays[attempt - 1])",
+            "await asyncio.open_connection(host, port)",
+            "socket.create_connection((host, port))",
         )
-        assert sabotaged != source, "retry loop no longer matches expected shape"
+        assert sabotaged != source, "exchange no longer matches expected shape"
         findings = lint_source(sabotaged, path=path, select=["RL010"])
         assert {finding.rule for finding in findings} == {"RL010"}
 
@@ -585,17 +557,83 @@ class TestClientClose:
         assert client.ping()["status"] == "ok"
         client.close()
 
-    def test_async_close_is_idempotent(self, server):
-        async def scenario() -> None:
-            client = await AsyncJoinClient.connect(*server.address)
-            assert (await client.ping())["status"] == "ok"
-            assert client.close_state is None
-            first = await client.close()
-            assert first == {"closed": True, "error": None}
-            assert await client.close() is first
-            assert client.close_state is first
 
-        asyncio.run(scenario())
+
+class _ScriptedPeer(LineFrame):
+    """Answers ``ping``, hangs up on ``stats``, holds ``datasets`` open."""
+
+    NAMESPACE = "service"
+    ROLE = "scripted peer"
+
+    def __init__(self) -> None:
+        super().__init__("127.0.0.1", 0)
+        self.release = asyncio.Event()
+
+    async def _dispatch(self, record, request_id, op):
+        if op == "stats":
+            for writer in list(self._writers):
+                writer.close()
+        elif op == "datasets":
+            await self.release.wait()
+        return ok_response(request_id, op)
+
+
+class TestExchange:
+    """The fleet's one async hop closes its connection on every path."""
+
+    @staticmethod
+    async def _drained(peer: LineFrame) -> bool:
+        # the peer drops a connection once it reads the client's EOF
+        for _ in range(200):
+            if not peer._writers:
+                return True
+            await asyncio.sleep(0.01)
+        return False
+
+    def test_exchange_closes_its_connection_on_every_exit_path(self):
+        import gc
+        import warnings
+
+        def record(op: str) -> dict:
+            return {"v": PROTOCOL_VERSION, "op": op, "id": f"x-{op}"}
+
+        async def scenario() -> None:
+            peer = _ScriptedPeer()
+            await peer._listen()
+            host, port = peer.address
+            try:
+                # a normal reply
+                reply = await exchange(host, port, record("ping"))
+                assert reply["status"] == "ok" and reply["id"] == "x-ping"
+                assert await self._drained(peer)
+                # the peer hangs up without replying
+                with pytest.raises(ConnectionError):
+                    await exchange(host, port, record("stats"))
+                assert await self._drained(peer)
+                # the caller gives up: cancellation through wait_for
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(
+                        exchange(host, port, record("datasets")), timeout=0.1
+                    )
+                assert len(peer._writers) == 1  # the held request
+                peer.release.set()
+                assert await self._drained(peer)
+            finally:
+                await peer._close()
+
+        # a stream writer dropped unclosed is closed by its finalizer,
+        # which says so with a ResourceWarning: there must be none
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            asyncio.run(scenario())
+            gc.collect()
+        unclosed = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not unclosed, [str(w.message) for w in unclosed]
+
+    def test_exchange_validates_before_dialing(self):
+        # an invalid record fails locally; port 1 is never dialed
+        with pytest.raises(ValueError):
+            asyncio.run(exchange("127.0.0.1", 1, {"op": "ping"}))
 
 
 class TestServerRecovery:

@@ -27,7 +27,7 @@ from repro.fleet import (
 )
 from repro.fleet.router import EndpointBreaker
 from repro.service import JoinClient
-from repro.service.client import ServiceError
+from repro.service.client import ServiceError, exchange
 from repro.service.protocol import ERROR_CODES, PROTOCOL_VERSION
 
 
@@ -759,6 +759,36 @@ class TestProbeLifecycle:
 
         asyncio.run(main())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_draining_shard_fails_both_probes(self, fleet_parts):
+        from repro.fleet import ShardSupervisor
+        from repro.service.registry import DatasetRegistry
+        from repro.service.server import JoinServer
+
+        spec = fleet_parts.spec
+        name = "twoshard-shard-0"
+
+        async def main():
+            server = JoinServer(DatasetRegistry(), executor="thread", workers=1)
+            await server.start()
+            try:
+                endpoints = {n: server.address for n in spec.server_names}
+                router = FleetRouter(spec, endpoints)
+                supervisor = ShardSupervisor(spec, router)
+                assert await supervisor._probe_server(name) is True
+                # a draining server still answers ping, with shutting_down
+                shutdown = {"v": PROTOCOL_VERSION, "op": "shutdown", "id": "s"}
+                assert (await exchange(*server.address, shutdown))["status"] == "ok"
+                router.mark_down(name)
+                await router._probe(name)
+                assert name in router.down_servers
+                assert await supervisor._probe_server(name) is False
+                await router.stop()
+            finally:
+                await server.stop()
+
+        asyncio.run(main())
+
     def test_update_endpoint_rejects_unknown_server(self, fleet_parts):
         router = FleetRouter(
             fleet_parts.spec, _dead_endpoints(fleet_parts.spec)
@@ -767,6 +797,65 @@ class TestProbeLifecycle:
             router.update_endpoint("nowhere", ("127.0.0.1", 3))
         with pytest.raises(KeyError, match="unknown shard server"):
             router.mark_down("nowhere")
+
+
+class TestLoopFaults:
+    """A fault on the router's event loop suspends one leg, not the loop."""
+
+    def test_slow_dispatch_fault_leaves_the_router_answering(self, fleet_parts):
+        spec = fleet_parts.spec
+        # one slow leg: the first dispatch stalls for a second
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site=SITE_FLEET_DISPATCH, kind="slow", indices=(0,), delay=1.0
+                ),
+            )
+        )
+        router = FleetRouter(spec, _dead_endpoints(spec), fault_plan=plan)
+        started = threading.Event()
+
+        def serve() -> None:
+            async def main() -> None:
+                await router.start()
+                started.set()
+                try:
+                    await router.wait_for_shutdown()
+                finally:
+                    await router.stop()
+
+            asyncio.run(main())
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        assert started.wait(30), "router never started"
+        solved: list[dict] = []
+
+        def solve() -> None:
+            with JoinClient(*router.address) as client:
+                solved.append(
+                    client.solve(
+                        check=False, instance="twoshard", deadline=5.0,
+                        cache=False, seed=1,
+                    )
+                )
+
+        solver = threading.Thread(target=solve, daemon=True)
+        solver.start()
+        time.sleep(0.2)  # the first leg is now stalled at fleet.dispatch
+        with JoinClient(*router.address) as client:
+            watch = Stopwatch()
+            assert client.ping()["status"] == "ok"
+            ping_seconds = watch.elapsed()
+        solver.join(30)
+        with JoinClient(*router.address) as client:
+            client.shutdown()
+        server.join(30)
+        assert ping_seconds < 0.2
+        # the stalled leg still ends structured: dead shards, no drop
+        assert [response["error"]["code"] for response in solved] == [
+            "shard_unavailable"
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -797,8 +797,15 @@ def test_rl010_bad():
     assert transitive[0].chain[0].startswith("repro.service.handler.handler ")
 
 
+def test_rl010_covers_fleet_event_loops():
+    # the router and the supervisor are event loops too
+    findings = lint(RL010_BAD, path="src/repro/fleet/router.py", select=["RL010"])
+    assert rules_of(findings) == {"RL010"}
+    assert len(findings) == 3
+
+
 def test_rl010_only_applies_to_service_async_defs():
-    # same blocking body outside service/ (or in a sync def) is fine
+    # same blocking body outside service/ and fleet/ (or in a sync def) is fine
     assert not lint(RL010_BAD, path="src/repro/core/search.py", select=["RL010"])
     sync_version = RL010_BAD.replace("async def", "def")
     assert not lint(sync_version, path=SERVICE_PATH, select=["RL010"])
