@@ -167,40 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="run the deadline-driven join service"
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="0 picks a free port (printed at startup)")
-    serve.add_argument("--workers", type=_positive_int, default=2,
-                       help="solver pool size")
-    serve.add_argument("--executor", default="process",
-                       choices=["process", "thread"])
+    _add_front_end_arguments(serve)
     serve.add_argument("--dataset", action="append", default=[],
                        metavar="NAME=PATH",
                        help="register a dataset file (.npz/.csv); repeatable")
     serve.add_argument("--instance", action="append", default=[],
                        metavar="NAME=DIR",
                        help="register a persisted instance directory; repeatable")
-    serve.add_argument("--max-pending", type=_positive_int, default=16,
-                       help="in-flight requests before load shedding")
-    serve.add_argument("--deadline", type=float, default=5.0,
-                       help="default per-request deadline (s)")
-    serve.add_argument("--max-deadline", type=float, default=60.0,
-                       help="requested deadlines are clamped to this")
-    serve.add_argument("--cache-capacity", type=int, default=256,
-                       help="solution cache entries (0 disables caching)")
-    serve.add_argument("--cache-ttl", type=float, default=None,
-                       help="solution cache expiry (s); default: no expiry")
-    serve.add_argument("--algorithm", default="gils",
-                       choices=["ils", "gils", "sea", "isa"],
-                       help="heuristic when a request names none")
-    serve.add_argument("--trace", metavar="PATH", default=None,
-                       help="write the JSONL request log / event trace")
     serve.add_argument("--no-warm", action="store_true",
                        help="disable the shared-memory warm plane (process "
                        "workers re-load datasets instead of attaching)")
-    serve.add_argument("--fault-plan", metavar="PATH", default=None,
-                       help="JSON fault-injection plan activated in the "
-                       "solve workers (chaos testing)")
 
     chaos = commands.add_parser(
         "chaos", help="storm a running join service and check the "
@@ -278,26 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="launch shard servers + router (or attach the router "
         "to externally running shards)"
     )
+    _add_front_end_arguments(fleet_serve)
     fleet_serve.add_argument("--fleet", required=True, metavar="MANIFEST",
                              help="fleet.json written by `fleet partition`")
-    fleet_serve.add_argument("--host", default="127.0.0.1")
-    fleet_serve.add_argument("--port", type=int, default=0,
-                             help="router port; 0 picks a free one "
-                             "(printed at startup)")
     fleet_serve.add_argument("--attach", action="append", default=[],
                              metavar="SHARD=HOST:PORT",
                              help="attach to an already-running shard server "
                              "instead of launching one; repeatable, must "
                              "cover every shard when used")
-    fleet_serve.add_argument("--workers", type=_positive_int, default=2,
-                             help="solver pool size per launched shard")
-    fleet_serve.add_argument("--executor", default="process",
-                             choices=["process", "thread"])
-    fleet_serve.add_argument("--max-pending", type=_positive_int, default=16)
-    fleet_serve.add_argument("--deadline", type=float, default=5.0)
-    fleet_serve.add_argument("--max-deadline", type=float, default=60.0)
-    fleet_serve.add_argument("--cache-capacity", type=int, default=256,
-                             help="router merged-solution cache (0 disables)")
     fleet_serve.add_argument("--no-hedge", action="store_true",
                              help="disable hedged duplicate sub-queries "
                              "against replicas")
@@ -310,17 +274,48 @@ def build_parser() -> argparse.ArgumentParser:
                              help="pid of an externally launched shard "
                              "(attach mode); the supervisor checks process "
                              "liveness in addition to pings (repeatable)")
-    fleet_serve.add_argument("--trace", metavar="PATH", default=None,
-                             help="router-side JSONL request log")
-    fleet_serve.add_argument("--fault-plan", metavar="PATH", default=None,
-                             help="chaos plan activated in the router "
-                             "(fleet.dispatch site: simulated shard loss)")
     fleet_status = fleet_commands.add_parser(
         "status", help="per-shard health/cost/dispatch table of a router"
     )
     fleet_status.add_argument("--host", default="127.0.0.1")
     fleet_status.add_argument("--port", type=int, required=True)
     return parser
+
+
+def _add_front_end_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags ``serve`` and ``fleet serve`` share: listener, pool,
+    admission, cache, trace and fault plan."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=0,
+                        help="0 picks a free port (printed at startup)")
+    parser.add_argument("--workers", type=_positive_int, default=2,
+                        help="solver pool size (per launched shard for a fleet)")
+    parser.add_argument("--executor", default="process",
+                        choices=["process", "thread"])
+    parser.add_argument("--max-pending", type=_positive_int, default=16,
+                        help="in-flight requests before load shedding")
+    parser.add_argument("--deadline", type=float, default=5.0,
+                        help="default per-request deadline (s)")
+    parser.add_argument("--max-deadline", type=float, default=60.0,
+                        help="requested deadlines are clamped to this")
+    parser.add_argument("--cache-capacity", type=int, default=256,
+                        help="solution cache entries (0 disables caching)")
+    parser.add_argument("--trace", metavar="PATH", default=None,
+                        help="write the JSONL request log / event trace")
+    parser.add_argument("--fault-plan", metavar="PATH", default=None,
+                        help="JSON fault-injection plan (chaos testing): "
+                        "activated in the solve workers of `serve`, in the "
+                        "router of `fleet serve`")
+
+
+def _load_fault_plan(path: str | None) -> FaultPlan | None:
+    """The plan ``--fault-plan`` names, ``None`` without one; exits on error."""
+    if path is None:
+        return None
+    try:
+        return FaultPlan.load(path)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"cannot load fault plan: {error}") from error
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -557,13 +552,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (FileNotFoundError, ValueError) as error:
         print(f"registration failed: {error}", file=sys.stderr)
         return 1
-    fault_plan = None
-    if args.fault_plan is not None:
-        try:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError) as error:
-            print(f"cannot load fault plan: {error}", file=sys.stderr)
-            return 1
+    fault_plan = _load_fault_plan(args.fault_plan)
     server = JoinServer(
         registry,
         host=args.host,
@@ -574,9 +563,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_deadline=args.deadline,
         max_deadline=args.max_deadline,
         cache_capacity=args.cache_capacity,
-        cache_ttl=args.cache_ttl,
         warm=False if args.no_warm else None,
-        default_algorithm=args.algorithm,
         fault_plan=fault_plan,
     )
 
@@ -777,13 +764,8 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
             print(f"--attach must cover every shard; missing {missing}",
                   file=sys.stderr)
             return 1
-    fault_plan = None
-    if args.fault_plan is not None:
-        try:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError) as error:
-            print(f"cannot load fault plan: {error}", file=sys.stderr)
-            return 1
+    fault_plan = _load_fault_plan(args.fault_plan)
+
     def _supervisor_line(line: str) -> None:
         # flushed so external drivers (CI) can tail respawn events live
         print(line, flush=True)

@@ -2,9 +2,12 @@
 
 :class:`FleetRouter` shares :class:`~repro.service.server.JoinServer`'s
 JSON-lines front end (:class:`~repro.service.frame.LineFrame`: listener,
-read loop, request accounting, ``shutdown``), so every existing client —
-``JoinClient``, the CLI ``query``/``chaos`` commands — talks to a fleet
-without changes.  One solve request flows:
+read loop, request accounting, ``shutdown``, and the solve pipeline with
+its merged-solution cache and admission control), so every existing
+client — ``JoinClient``, the CLI ``query``/``chaos`` commands — talks to
+a fleet without changes.  The router supplies the pipeline's two hooks:
+``_resolve`` checks the instance name and ``fanout``; ``_run`` takes one
+admitted solve through:
 
 1. **Plan** — for every tile pick a *host* out of its replica group
    (:attr:`~repro.fleet.partition.ShardSpec.hosts`, primary first): the
@@ -66,10 +69,10 @@ from ..faults import (
     fault_delay,
 )
 from ..obs import current
-from ..service.admission import MIN_SOLVE_SECONDS, AdmissionController
-from ..service.cache import CacheEntry, SolutionCache, canonical_query_key, solve_cache_key
+from ..query.graph import QueryGraph
+from ..service.admission import MIN_SOLVE_SECONDS, Ticket
 from ..service.client import exchange
-from ..service.frame import LineFrame
+from ..service.frame import LineFrame, SolveCall
 from ..service.protocol import PROTOCOL_VERSION, error_response, ok_response
 from .partition import FleetSpec, ShardSpec
 
@@ -162,7 +165,8 @@ class FleetRouter(LineFrame):
     """JSON-lines router scattering solves across per-shard JoinServers.
 
     The JSON-lines front end (listener, read loop, request accounting,
-    ``shutdown``) is :class:`~repro.service.frame.LineFrame`'s.
+    ``shutdown``, cache, admission and the solve pipeline) is
+    :class:`~repro.service.frame.LineFrame`'s.
 
     Parameters
     ----------
@@ -174,10 +178,10 @@ class FleetRouter(LineFrame):
         ``spec``.
     host / port:
         Router listening address; port ``0`` picks a free one.
-    max_pending / default_deadline / max_deadline:
-        Admission policy, same semantics as the single server.
-    cache_capacity / cache_ttl:
-        Merged-solution cache; only full-coverage, non-degraded answers
+    max_pending / default_deadline / max_deadline / cache_capacity:
+        Admission policy and merged-solution cache size, passed through
+        to :class:`~repro.service.frame.LineFrame` as for the single
+        server; only full-coverage, non-degraded answers
         are cached (a degraded answer must not shadow a complete one).
     hedge:
         Arm hedged duplicate sub-queries against replicas (default on;
@@ -197,30 +201,16 @@ class FleetRouter(LineFrame):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_pending: int = 16,
-        default_deadline: float = 5.0,
-        max_deadline: float = 60.0,
-        cache_capacity: int = 256,
-        cache_ttl: float | None = None,
         hedge: bool = True,
         fault_plan: FaultPlan | None = None,
+        **front_end: Any,
     ) -> None:
         missing = [s.name for s in spec.shards if s.name not in endpoints]
         if missing:
             raise ValueError(f"no endpoint for shards {missing}")
-        super().__init__(host, port)
+        super().__init__(host, port, **front_end)
         self.spec = spec
         self.endpoints = {name: tuple(addr) for name, addr in endpoints.items()}
-        self.admission = AdmissionController(
-            max_pending=max_pending,
-            default_deadline=default_deadline,
-            max_deadline=max_deadline,
-        )
-        self.cache: SolutionCache | None = (
-            SolutionCache(capacity=cache_capacity, ttl=cache_ttl)
-            if cache_capacity > 0
-            else None
-        )
         self.hedge = bool(hedge)
         self.fault_plan = fault_plan if (fault_plan is not None and fault_plan) else None
         self._query = spec.query_graph()
@@ -374,16 +364,14 @@ class FleetRouter(LineFrame):
             )
         if op == "stats":
             return ok_response(request_id, op, **self.stats())
-        if op == "register":
-            return error_response(
-                request_id,
-                op,
-                "bad_request",
-                "a fleet's topology is fixed at partition time; "
-                "register datasets on the shards and re-partition",
-            )
-        assert op == "solve"
-        return await self._handle_solve(record, request_id)
+        assert op == "register"
+        return error_response(
+            request_id,
+            op,
+            "bad_request",
+            "a fleet's topology is fixed at partition time; "
+            "register datasets on the shards and re-partition",
+        )
 
     def stats(self) -> dict[str, Any]:
         """Live router counters for the ``stats`` op (and tests)."""
@@ -414,10 +402,7 @@ class FleetRouter(LineFrame):
                 }
             )
         payload: dict[str, Any] = {
-            "requests_total": self.requests_total,
-            "errors_total": self.errors_total,
-            "admission": self.admission.stats(),
-            "cache": self.cache.stats() if self.cache is not None else None,
+            **super().stats(),
             "fleet": {
                 "name": self.spec.name,
                 "method": self.spec.method,
@@ -725,121 +710,61 @@ class FleetRouter(LineFrame):
             "hedged": False,
         }
 
-    async def _handle_solve(
-        self, record: dict[str, Any], request_id: str
-    ) -> dict[str, Any]:
-        obs = current()
+    # ------------------------------------------------------------------
+    # solve hooks (the pipeline is LineFrame._handle_solve)
+    # ------------------------------------------------------------------
+    async def _resolve(self, record: dict[str, Any]) -> tuple[QueryGraph, list[str]]:
         if record.get("instance") != self.spec.name:
-            return error_response(
-                request_id,
-                "solve",
-                "unknown_dataset",
+            raise KeyError(
                 f"this router serves instance {self.spec.name!r}; "
-                "per-dataset queries go to the shards directly",
+                "per-dataset queries go to the shards directly"
             )
         fanout = record.get("fanout")
-        if fanout is not None and (not isinstance(fanout, int) or fanout < 1):
-            return error_response(
-                request_id, "solve", "bad_request", f"fanout must be >= 1, got {fanout!r}"
-            )
-        algorithm = record.get("algorithm")
-        seed = record.get("seed", 0)
-        restarts = record.get("restarts", 1)
-        max_iterations = record.get("max_iterations")
-        deadline = self.admission.clamp_deadline(record.get("deadline"))
-        use_cache = bool(record.get("cache", True)) and self.cache is not None
+        # booleans are ints to Python but never to the protocol
+        if fanout is not None and (
+            isinstance(fanout, bool) or not isinstance(fanout, int) or fanout < 1
+        ):
+            raise ValueError(f"fanout must be an integer >= 1, got {fanout!r}")
+        return self._query, self._labels
 
-        cache_key: str | None = None
-        signature = ""
-        order: tuple[int, ...] = tuple(range(self._query.num_variables))
-        if use_cache:
-            signature, order = canonical_query_key(self._query, self._labels)
-            cache_key = solve_cache_key(
-                signature, algorithm or "fleet", seed, restarts, deadline, max_iterations
-            )
-            assert self.cache is not None
-            entry = self.cache.get(cache_key)
-            if entry is not None:
-                obs.counter("fleet.cache.hit").inc()
-                return entry.hit_response(
-                    request_id,
-                    order,
-                    seed=seed,
-                    restarts=restarts,
-                    fleet={"shards": len(self._shards), "cached": True},
-                )
-            obs.counter("fleet.cache.miss").inc()
+    def _hit_fields(self) -> dict[str, Any]:
+        return {"fleet": {"shards": len(self._shards), "cached": True}}
 
-        ticket = self.admission.try_admit(deadline)
-        if ticket is None:
-            obs.counter("fleet.shed").inc()
-            return error_response(
-                request_id,
-                "solve",
-                "overloaded",
-                f"{self.admission.pending} requests already in flight; retry later",
-            )
-        try:
-            # degradation tracks *involuntary* coverage loss: tiles
-            # skipped because their whole replica group is down.  A
-            # client-chosen fanout cap merely limits coverage (answer
-            # approximate, not degraded).
-            plans, skipped = self._plan(fanout)
-            sub_deadline = max(0.02, ticket.remaining() * SCATTER_FRACTION)
-            # the iteration budget is split evenly: N tiles each search
-            # their extent with budget/N, so total work matches a single
-            # server while the wall-clock shrinks with the fan-out
-            sub_iterations = (
-                math.ceil(max_iterations / len(plans))
-                if max_iterations is not None and plans
-                else None
-            )
-            fields: dict[str, Any] = {
-                "deadline": sub_deadline,
-                "seed": seed,
-                "restarts": restarts,
-                "cache": bool(record.get("cache", True)),
-            }
-            if algorithm is not None:
-                fields["algorithm"] = algorithm
-            if sub_iterations is not None:
-                fields["max_iterations"] = sub_iterations
-            outcomes = await asyncio.gather(
-                *(
-                    self._dispatch_tile(plan, fields, sub_deadline, ticket)
-                    for plan in plans
-                )
-            )
-        finally:
-            self.admission.release(ticket)
-        with obs.span("fleet.merge"):
-            response = self._merge(
-                request_id,
-                list(outcomes),
-                skipped=skipped,
-                order=order,
-                seed=seed,
-                restarts=restarts,
-                use_cache=use_cache,
-                cache_key=cache_key,
-                signature=signature,
-            )
-        return response
+    async def _run(
+        self, call: SolveCall, ticket: Ticket
+    ) -> tuple[dict[str, Any], bool]:
+        # degradation tracks *involuntary* coverage loss: tiles skipped
+        # because their whole replica group is down.  A client-chosen
+        # fanout cap merely limits coverage (answer approximate, not
+        # degraded).
+        plans, skipped = self._plan(call.record.get("fanout"))
+        sub_deadline = max(0.02, ticket.remaining() * SCATTER_FRACTION)
+        # the iteration budget is split evenly: N tiles each search their
+        # extent with budget/N, so total work matches a single server
+        # while the wall-clock shrinks with the fan-out
+        fields: dict[str, Any] = {
+            "deadline": sub_deadline,
+            "algorithm": call.algorithm,
+            "seed": call.seed,
+            "restarts": call.restarts,
+            "cache": bool(call.record.get("cache", True)),
+        }
+        if call.max_iterations is not None and plans:
+            fields["max_iterations"] = math.ceil(call.max_iterations / len(plans))
+        outcomes = await asyncio.gather(
+            *(self._dispatch_tile(plan, fields, sub_deadline, ticket) for plan in plans)
+        )
+        with current().span("fleet.merge"):
+            return self._merge(call.request_id, list(outcomes), skipped)
 
     def _merge(
-        self,
-        request_id: str,
-        outcomes: list[dict[str, Any]],
-        *,
-        skipped: list[str],
-        order: tuple[int, ...],
-        seed: int,
-        restarts: int,
-        use_cache: bool,
-        cache_key: str | None,
-        signature: str,
-    ) -> dict[str, Any]:
-        """Fold tile partials into one global answer (pure, no awaits)."""
+        self, request_id: str, outcomes: list[dict[str, Any]], skipped: list[str]
+    ) -> tuple[dict[str, Any], bool]:
+        """Fold tile partials into one global answer (pure, no awaits).
+
+        Only a full-coverage, non-degraded answer may be cached: a
+        degraded answer must not shadow a complete one.
+        """
         obs = current()
         answered = [o for o in outcomes if o["status"] == "ok"]
         lost = [o for o in outcomes if o["status"] == "lost"]
@@ -853,7 +778,7 @@ class FleetRouter(LineFrame):
                 "solve",
                 "shard_unavailable",
                 f"every contacted shard was lost ({reasons})",
-            )
+            ), False
         best = min(
             answered,
             key=lambda o: (
@@ -884,25 +809,7 @@ class FleetRouter(LineFrame):
         ]
         for name in recovered_servers:
             self._recovered_pending.discard(name)
-        if use_cache and cache_key is not None and covered_all and not degraded:
-            assert self.cache is not None
-            self.cache.put(
-                cache_key,
-                CacheEntry.from_result(
-                    assignment=assignment,
-                    order=order,
-                    violations=sub["violations"],
-                    similarity=sub["similarity"],
-                    iterations=sum(o["response"]["iterations"] for o in answered),
-                    elapsed=max(o["response"]["elapsed"] for o in answered),
-                    algorithm=sub["algorithm"],
-                    signature=signature,
-                ),
-            )
-        return ok_response(
-            request_id,
-            "solve",
-            cached=False,
+        return dict(
             assignment=assignment,
             violations=sub["violations"],
             similarity=sub["similarity"],
@@ -911,8 +818,6 @@ class FleetRouter(LineFrame):
             iterations=sum(o["response"]["iterations"] for o in answered),
             elapsed=max(o["response"]["elapsed"] for o in answered),
             algorithm=sub["algorithm"],
-            seed=seed,
-            restarts=restarts,
             recovered=bool(recovered_servers) or bool(sub.get("recovered")),
             fleet={
                 "shards": len(self._shards),
@@ -935,4 +840,4 @@ class FleetRouter(LineFrame):
                 ],
                 "hedged": [o["tile"] for o in answered if o["hedged"]],
             },
-        )
+        ), covered_all and not degraded

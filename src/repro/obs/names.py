@@ -99,8 +99,7 @@ METRIC_NAMES = frozenset(
         "service.shed",
         "service.approximate",
         "service.latency",
-        # per-request warm classification (exact cache hit / seeded / cold)
-        "service.warm.exact_hit",
+        # per-dispatch warm classification (seeded / cold)
         "service.warm.start",
         "service.warm.cold",
         # warm plane segment lifecycle

@@ -8,12 +8,13 @@ package turns the batch library into a long-running multi-tenant server:
   :func:`validate_request`, mirroring the obs v1 event discipline;
 * :mod:`repro.service.registry` — named dataset/instance registry with
   lazy :mod:`repro.data.io` loading and index warm-up;
-* :mod:`repro.service.cache` — LRU+TTL solution cache keyed by a
+* :mod:`repro.service.cache` — LRU solution cache keyed by a
   canonical query signature so isomorphic queries hit;
 * :mod:`repro.service.admission` — bounded admission with load shedding
   and per-request deadline budgets built on :class:`repro.core.budget.Budget`;
 * :mod:`repro.service.frame` — the JSON-lines front end (listener, read
-  loop, request accounting) the server and the fleet router share;
+  loop, request accounting, the one solve pipeline) the server and the
+  fleet router share;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the asyncio
   JSON-lines server dispatching solves onto a ``ProcessPoolExecutor``
   (via :func:`repro.core.parallel.parallel_restarts`) and its client.

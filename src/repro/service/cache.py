@@ -1,4 +1,4 @@
-"""LRU+TTL solution cache keyed by a canonical query signature.
+"""LRU solution cache keyed by a canonical query signature.
 
 Two solve requests deserve the same cached answer whenever their labelled
 query graphs are *isomorphic*: the same datasets joined by the same
@@ -18,10 +18,6 @@ requests submitted under different numberings may miss.
 The cache stores assignments in canonical variable order, so a hit under a
 different numbering is translated back through the requester's order — the
 cached tuple is never returned raw.
-
-Expiry uses an injectable monotonic clock (defaulting to a
-:class:`~repro.core.budget.Stopwatch`) so tests simulate the TTL exactly
-like they simulate budgets.
 """
 
 from __future__ import annotations
@@ -202,6 +198,13 @@ class CacheEntry:
     hits: int = field(default=0)
     #: canonical query signature, for the near-miss warm-start tier
     signature: str = ""
+    #: the exactness the miss reported, replayed by every hit; ``None``
+    #: means the single-server reading, ``violations == 0``
+    exact: bool | None = None
+
+    def __post_init__(self) -> None:
+        if self.exact is None:
+            self.exact = self.violations == 0
 
     def assignment_for(self, order: Sequence[int]) -> list[int]:
         """The assignment translated into a requester's variable numbering.
@@ -235,8 +238,8 @@ class CacheEntry:
             assignment=self.assignment_for(order),
             violations=self.violations,
             similarity=self.similarity,
-            exact=self.violations == 0,
-            approximate=self.violations != 0,
+            exact=self.exact,
+            approximate=not self.exact,
             iterations=self.iterations,
             elapsed=self.elapsed,
             algorithm=self.algorithm,
@@ -257,8 +260,14 @@ class CacheEntry:
         elapsed: float,
         algorithm: str,
         signature: str = "",
+        exact: bool | None = None,
     ) -> "CacheEntry":
-        """Build an entry from a result in the requester's numbering."""
+        """Build an entry from a result in the requester's numbering.
+
+        ``exact`` is the flag the miss reported; it defaults to
+        ``violations == 0``, which is what a single server reports.  A
+        fleet merge can find a zero-violation tuple yet stay approximate.
+        """
         canonical = tuple(assignment[variable] for variable in order)
         return cls(
             assignment=canonical,
@@ -268,36 +277,33 @@ class CacheEntry:
             elapsed=elapsed,
             algorithm=algorithm,
             signature=signature,
+            exact=exact,
         )
 
 
 class SolutionCache:
-    """An LRU cache with optional TTL expiry and hit/miss accounting.
+    """An LRU cache with hit/miss accounting.
 
-    ``ttl`` is in clock seconds (``None`` = no expiry); ``clock`` is any
-    monotonic ``() -> float`` — tests inject a fake, production uses a
-    :class:`~repro.core.budget.Stopwatch` started at construction.
+    ``clock`` is any monotonic ``() -> float`` stamping stores (the
+    near-miss tier breaks ties to the newest); tests inject a fake,
+    production uses a :class:`~repro.core.budget.Stopwatch` started at
+    construction.
     """
 
     def __init__(
         self,
         capacity: int = 256,
-        ttl: float | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"ttl must be positive, got {ttl}")
         self.capacity = capacity
-        self.ttl = ttl
         self._clock = clock if clock is not None else Stopwatch().elapsed
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         #: signature → keys of live entries carrying it (near-miss tier)
         self._by_signature: dict[str, set[str]] = {}
         self.hits = 0
         self.misses = 0
-        self.expirations = 0
         self.evictions = 0
         self.near_hits = 0
         self.near_misses = 0
@@ -312,17 +318,9 @@ class SolutionCache:
             if not keys:
                 del self._by_signature[entry.signature]
 
-    def _expired(self, entry: CacheEntry) -> bool:
-        return self.ttl is not None and self._clock() - entry.stored_at >= self.ttl
-
     def get(self, key: str) -> CacheEntry | None:
-        """The live entry under ``key`` or ``None`` (expired counts as miss)."""
+        """The entry under ``key`` or ``None``."""
         entry = self._entries.get(key)
-        if entry is not None and self._expired(entry):
-            del self._entries[key]
-            self._forget_signature(key, entry)
-            self.expirations += 1
-            entry = None
         if entry is None:
             self.misses += 1
             return None
@@ -345,11 +343,6 @@ class SolutionCache:
         for key in sorted(self._by_signature.get(signature, ())):
             entry = self._entries.get(key)
             if entry is None:
-                continue
-            if self._expired(entry):
-                del self._entries[key]
-                self._forget_signature(key, entry)
-                self.expirations += 1
                 continue
             if (
                 best_entry is None
@@ -392,7 +385,6 @@ class SolutionCache:
             "capacity": self.capacity,
             "hits": self.hits,
             "misses": self.misses,
-            "expirations": self.expirations,
             "evictions": self.evictions,
             "near_hits": self.near_hits,
             "near_misses": self.near_misses,

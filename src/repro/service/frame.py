@@ -4,45 +4,94 @@ One request per line, one response per line, any number of concurrent
 connections.  :class:`LineFrame` owns everything between the socket and
 a subclass's ``_dispatch``: the listener, the per-connection read loop,
 the line handler (decode → :func:`validate_request` → draining check →
-``_dispatch`` → :func:`classify_exception`, so no request drops a
-connection), request accounting and the ``shutdown`` op.
+answer → :func:`classify_exception`, so no request drops a connection),
+request accounting, the ``shutdown`` op and the one ``solve`` path:
+resolve → lookup → admit → run → respond (see
+:meth:`LineFrame._handle_solve`).
+
 :class:`~repro.service.server.JoinServer` and
 :class:`~repro.fleet.router.FleetRouter` keep only their ``_dispatch``
-(``ping``, ``datasets``, ``stats``, ``register``, ``solve``) and their
-own start/stop work.
+(``ping``, ``datasets``, ``stats``, ``register``), their own ``stats``
+keys, the two solve hooks ``_resolve`` and ``_run``, and their own
+start/stop work.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from dataclasses import dataclass
 from typing import Any, ClassVar
 
 from ..core.budget import Stopwatch
 from ..obs import current
+from ..query.graph import QueryGraph
+from .admission import AdmissionController, Ticket
+from .cache import CacheEntry, SolutionCache, canonical_query_key, solve_cache_key
 from .errors import classify_exception
-from .protocol import error_response, ok_response, validate_request
+from .protocol import DEFAULT_ALGORITHM, error_response, ok_response, validate_request
 
-__all__ = ["LINE_LIMIT", "LineFrame"]
+__all__ = ["LINE_LIMIT", "LineFrame", "SolveCall"]
 
 #: longest request line, in bytes: asyncio's default ``StreamReader``
 #: limit, named so the overrun reply can state it
 LINE_LIMIT = 2**16
 
 
-class LineFrame:
-    """Listener, read loop, line handler and request accounting."""
+@dataclass(frozen=True)
+class SolveCall:
+    """One resolved solve request, as the ``_run`` hook receives it."""
 
-    #: metric namespace of the request counter and latency histogram
+    record: dict[str, Any]
+    request_id: str
+    query: QueryGraph
+    algorithm: str
+    seed: int
+    restarts: int
+    max_iterations: int | None
+    #: the request may read and fill the solution cache
+    use_cache: bool
+    #: canonical query signature (``""`` when the cache is bypassed)
+    signature: str
+    #: canonical position → requester variable
+    order: tuple[int, ...]
+
+
+class LineFrame:
+    """Listener, read loop, line handler, request accounting and solve path.
+
+    ``max_pending`` / ``default_deadline`` / ``max_deadline`` are the
+    admission policy (see
+    :class:`~repro.service.admission.AdmissionController`);
+    ``cache_capacity`` sizes the solution cache, ``0`` disables it.
+    """
+
+    #: metric namespace of the request, cache and shed counters and the
+    #: latency histogram
     NAMESPACE: ClassVar[str]
     #: what the ``shutting_down`` reply calls this endpoint
     ROLE: ClassVar[str]
 
-    def __init__(self, host: str, port: int) -> None:
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        max_pending: int = 16,
+        default_deadline: float = 5.0,
+        max_deadline: float = 60.0,
+        cache_capacity: int = 256,
+    ) -> None:
         self._host = host
         self._port = port
         self.requests_total = 0
         self.errors_total = 0
+        self.admission = AdmissionController(
+            max_pending=max_pending,
+            default_deadline=default_deadline,
+            max_deadline=max_deadline,
+        )
+        self.cache = SolutionCache(capacity=cache_capacity) if cache_capacity > 0 else None
         self._server: asyncio.AbstractServer | None = None
         self._shutdown: asyncio.Event | None = None
         self._writers: set[asyncio.StreamWriter] = set()
@@ -184,6 +233,8 @@ class LineFrame:
                 assert self._shutdown is not None
                 self._shutdown.set()
                 return op, ok_response(request_id, op, stopping=True)
+            if op == "solve":
+                return op, await self._handle_solve(record, request_id)
             return op, await self._dispatch(record, request_id, op)
         except Exception as error:  # noqa: BLE001 - connection must survive
             classified = classify_exception(error)
@@ -192,5 +243,122 @@ class LineFrame:
     async def _dispatch(
         self, record: dict[str, Any], request_id: str, op: str
     ) -> dict[str, Any]:
-        """Answer one validated request other than ``shutdown``."""
+        """Answer one validated request other than ``shutdown`` or ``solve``."""
         raise NotImplementedError
+
+    def stats(self) -> dict[str, Any]:
+        """The ``stats`` op's shared counters; each endpoint adds its own."""
+        return {
+            "requests_total": self.requests_total,
+            "errors_total": self.errors_total,
+            "admission": self.admission.stats(),
+            "cache": self.cache.stats() if self.cache is not None else None,
+        }
+
+    # ------------------------------------------------------------------
+    # solve: resolve → lookup → admit → run → respond
+    # ------------------------------------------------------------------
+    async def _resolve(self, record: dict[str, Any]) -> tuple[QueryGraph, list[str]]:
+        """The query graph and the per-variable labels that key the cache.
+
+        Raises ``KeyError`` for unknown data, ``ValueError`` for a bad query.
+        """
+        raise NotImplementedError
+
+    async def _run(
+        self, call: SolveCall, ticket: Ticket
+    ) -> tuple[dict[str, Any], bool]:
+        """The answer fields (or an error response) and whether to cache them."""
+        raise NotImplementedError
+
+    def _hit_fields(self) -> dict[str, Any]:
+        """Endpoint-specific blocks a cache-hit reply carries."""
+        return {}
+
+    def _queue_depth(self) -> None:
+        # the router keeps no queue gauge
+        if self.NAMESPACE == "service":
+            current().gauge("service.queue.depth").set(self.admission.pending)
+
+    async def _handle_solve(
+        self, record: dict[str, Any], request_id: str
+    ) -> dict[str, Any]:
+        """Resolve → lookup → admit → run → respond, for both endpoints."""
+        obs = current()
+        # RL006 wants a literal name at each call site: one branch each
+        fleet = self.NAMESPACE == "fleet"
+        try:
+            query, labels = await self._resolve(record)
+        except KeyError as error:
+            message = str(error.args[0]) if error.args else str(error)
+            return error_response(request_id, "solve", "unknown_dataset", message)
+        except ValueError as error:
+            return error_response(request_id, "solve", "bad_request", str(error))
+
+        algorithm = record.get("algorithm", DEFAULT_ALGORITHM)
+        seed, restarts = record.get("seed", 0), record.get("restarts", 1)
+        max_iterations = record.get("max_iterations")
+        deadline = self.admission.clamp_deadline(record.get("deadline"))
+        cache = self.cache if record.get("cache", True) else None
+        signature, order, key = "", tuple(range(query.num_variables)), ""
+        if cache is not None:
+            signature, order = canonical_query_key(query, labels)
+            key = solve_cache_key(signature, algorithm, seed, restarts, deadline, max_iterations)
+            entry = cache.get(key)
+            if entry is not None:
+                hit = obs.counter("fleet.cache.hit") if fleet else obs.counter("service.cache.hit")
+                hit.inc()
+                return entry.hit_response(
+                    request_id, order, seed=seed, restarts=restarts, **self._hit_fields()
+                )
+            miss = obs.counter("fleet.cache.miss") if fleet else obs.counter("service.cache.miss")
+            miss.inc()
+
+        ticket = self.admission.try_admit(deadline)
+        self._queue_depth()
+        if ticket is None:
+            (obs.counter("fleet.shed") if fleet else obs.counter("service.shed")).inc()
+            return error_response(
+                request_id,
+                "solve",
+                "overloaded",
+                f"{self.admission.pending} requests already in flight; retry later",
+            )
+        call = SolveCall(
+            record=record,
+            request_id=request_id,
+            query=query,
+            algorithm=algorithm,
+            seed=seed,
+            restarts=restarts,
+            max_iterations=max_iterations,
+            use_cache=cache is not None,
+            signature=signature,
+            order=order,
+        )
+        try:
+            answer, cacheable = await self._run(call, ticket)
+        finally:
+            self.admission.release(ticket)
+            self._queue_depth()
+        if answer.get("status") == "error":
+            return answer
+
+        if cache is not None and cacheable:
+            cache.put(
+                key,
+                CacheEntry.from_result(
+                    answer["assignment"],
+                    order,
+                    violations=answer["violations"],
+                    similarity=answer["similarity"],
+                    iterations=answer["iterations"],
+                    elapsed=answer["elapsed"],
+                    algorithm=answer["algorithm"],
+                    signature=signature,
+                    exact=answer["exact"],
+                ),
+            )
+        return ok_response(
+            request_id, "solve", cached=False, seed=seed, restarts=restarts, **answer
+        )

@@ -30,6 +30,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "REQUEST_OPS",
     "SOLVE_ALGORITHMS",
+    "DEFAULT_ALGORITHM",
     "ERROR_CODES",
     "validate_request",
     "ok_response",
@@ -42,6 +43,9 @@ PROTOCOL_VERSION = 1
 
 #: heuristics a solve request may name (the anytime subset of the engine)
 SOLVE_ALGORITHMS = frozenset({"ils", "gils", "sea", "isa"})
+
+#: heuristic a solve request that names none runs (and is cached under)
+DEFAULT_ALGORITHM = "gils"
 
 #: named query topologies accepted in a solve request's ``query.type``
 QUERY_TYPES = frozenset({"chain", "clique", "cycle", "star"})

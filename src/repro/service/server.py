@@ -1,15 +1,15 @@
 """Asyncio JSON-lines join server with caching and admission control.
 
-One :class:`JoinServer` owns the four service pieces and wires them to the
-engine:
-
-* a :class:`~repro.service.registry.DatasetRegistry` naming the data,
-* a :class:`~repro.service.cache.SolutionCache` keyed by canonical query
-  signature (isomorphic requests hit),
-* an :class:`~repro.service.admission.AdmissionController` bounding
-  in-flight work and clamping deadlines,
-* an executor pool running :func:`~repro.service.worker.run_solve_job`
-  (the anytime :func:`~repro.core.parallel.parallel_restarts` path).
+One :class:`JoinServer` wires a
+:class:`~repro.service.registry.DatasetRegistry` naming the data to an
+executor pool running :func:`~repro.service.worker.run_solve_job` (the
+anytime :func:`~repro.core.parallel.parallel_restarts` path).  The
+solution cache, admission control and the solve pipeline around them
+(resolve → lookup → admit → run → respond) are the shared front end's,
+:class:`~repro.service.frame.LineFrame`; the server supplies the two
+solve hooks: ``_resolve`` names the instance or datasets, ``_run`` warm
+starts from a near-miss, builds the job and re-dispatches it after
+worker crashes.
 
 The event loop itself never solves anything: a connection handler
 validates, consults the cache, asks for admission, and awaits the
@@ -35,11 +35,11 @@ from typing import Any
 from ..faults import FaultPlan, activate_plan
 from ..obs import current, merge_states, replay_into
 from ..query.hardness import ProblemInstance
+from ..query.graph import QueryGraph
 from ..warm.plane import WarmPlane
-from .admission import AdmissionController
-from .cache import CacheEntry, SolutionCache, canonical_query_key, solve_cache_key
+from .admission import Ticket
 from .errors import classify_exception
-from .frame import LineFrame
+from .frame import LineFrame, SolveCall
 from .protocol import PROTOCOL_VERSION, error_response, ok_response
 from .registry import DatasetRegistry
 from .worker import SolveJob, build_query, init_service_worker, run_solve_job
@@ -61,7 +61,8 @@ class JoinServer(LineFrame):
     """Deadline-driven multiway-join query service.
 
     The JSON-lines front end (listener, read loop, request accounting,
-    ``shutdown``) is :class:`~repro.service.frame.LineFrame`'s.
+    ``shutdown``, cache, admission and the solve pipeline) is
+    :class:`~repro.service.frame.LineFrame`'s.
 
     Parameters
     ----------
@@ -76,10 +77,10 @@ class JoinServer(LineFrame):
         worker observations; ``"thread"`` shares this process's registry —
         handy for tests and tiny in-memory datasets, but solves then
         compete for the GIL and per-request solve spans are disabled.
-    max_pending / default_deadline / max_deadline:
-        Admission policy (see :class:`AdmissionController`).
-    cache_capacity / cache_ttl:
-        Solution cache sizing; capacity ``0`` disables caching entirely.
+    max_pending / default_deadline / max_deadline / cache_capacity:
+        The front end's admission policy and solution cache size
+        (``0`` disables caching), passed through to
+        :class:`~repro.service.frame.LineFrame`.
     warm:
         Publish registry datasets into shared memory so process workers
         attach instead of re-loading (defaults to on for the process
@@ -87,8 +88,6 @@ class JoinServer(LineFrame):
         registry).  Pool rebuilds after crashes re-attach to the same
         segments; :meth:`stop` unlinks everything and records the
         lifecycle report in :attr:`warm_report`.
-    default_algorithm:
-        Heuristic used when a solve request names none.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` activated in every
         worker (and, for thread executors, in this process) — the chaos
@@ -107,40 +106,24 @@ class JoinServer(LineFrame):
         port: int = 0,
         workers: int = 2,
         executor: str = "process",
-        max_pending: int = 16,
-        default_deadline: float = 5.0,
-        max_deadline: float = 60.0,
-        cache_capacity: int = 256,
-        cache_ttl: float | None = None,
         warm: bool | None = None,
-        default_algorithm: str = "gils",
         fault_plan: FaultPlan | None = None,
+        **front_end: Any,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if executor not in ("process", "thread"):
             raise ValueError(f"executor must be 'process' or 'thread', got {executor!r}")
-        super().__init__(host, port)
+        super().__init__(host, port, **front_end)
         self.registry = registry
         self.workers = workers
         self.executor_kind = executor
-        self.admission = AdmissionController(
-            max_pending=max_pending,
-            default_deadline=default_deadline,
-            max_deadline=max_deadline,
-        )
-        self.cache: SolutionCache | None = (
-            SolutionCache(capacity=cache_capacity, ttl=cache_ttl)
-            if cache_capacity > 0
-            else None
-        )
         self.warm = (executor == "process") if warm is None else bool(warm)
-        self.default_algorithm = default_algorithm
         self.fault_plan = fault_plan if (fault_plan is not None and fault_plan) else None
         self.pool_rebuilds = 0
         self.jobs_retried = 0
-        #: request classification for the cross-request incumbent tier
-        self.warm_exact_hits = 0
+        #: dispatch classification for the cross-request incumbent tier
+        #: (exact cache hits are the cache's own ``hits``)
         self.warm_starts = 0
         self.warm_cold = 0
         #: shared-memory plane, created with the first process pool
@@ -260,25 +243,20 @@ class JoinServer(LineFrame):
             )
         if op == "stats":
             return ok_response(request_id, op, **self.stats())
-        if op == "register":
-            return self._handle_register(record, request_id)
-        assert op == "solve"
-        return await self._handle_solve(record, request_id)
+        assert op == "register"
+        return self._handle_register(record, request_id)
 
     def stats(self) -> dict[str, Any]:
         """Live service counters for the ``stats`` op (and tests)."""
         return {
-            "requests_total": self.requests_total,
-            "errors_total": self.errors_total,
+            **super().stats(),
             "workers": self.workers,
             "executor": self.executor_kind,
             "pool_rebuilds": self.pool_rebuilds,
             "jobs_retried": self.jobs_retried,
-            "admission": self.admission.stats(),
-            "cache": self.cache.stats() if self.cache is not None else None,
             "warm": {
                 "enabled": self.warm,
-                "exact_hits": self.warm_exact_hits,
+                "exact_hits": self.cache.hits if self.cache is not None else 0,
                 "warm_starts": self.warm_starts,
                 "cold": self.warm_cold,
                 "published_datasets": (
@@ -308,94 +286,42 @@ class JoinServer(LineFrame):
         return ok_response(request_id, "register", name=name, kind=kind)
 
     # ------------------------------------------------------------------
-    # solve
+    # solve hooks (the pipeline is LineFrame._handle_solve)
     # ------------------------------------------------------------------
-    async def _handle_solve(
-        self, record: dict[str, Any], request_id: str
-    ) -> dict[str, Any]:
-        obs = current()
-        algorithm = record.get("algorithm", self.default_algorithm)
-        seed = record.get("seed", 0)
-        restarts = record.get("restarts", 1)
-        max_iterations = record.get("max_iterations")
-        deadline = self.admission.clamp_deadline(record.get("deadline"))
-        use_cache = bool(record.get("cache", True)) and self.cache is not None
-
-        # resolve the query graph and the dataset labels that key the cache
+    async def _resolve(self, record: dict[str, Any]) -> tuple[QueryGraph, list[str]]:
         instance_name = record.get("instance")
-        try:
-            if instance_name is not None:
-                # a cold registry entry loads from disk: off the loop
-                instance = await asyncio.to_thread(
-                    self.registry.instance, instance_name
-                )
-                query = instance.query
-                labels = [
-                    f"{instance_name}/{index}"
-                    for index in range(query.num_variables)
-                ]
-                dataset_names: tuple[str, ...] | None = None
-            else:
-                query = build_query(record["query"])
-                names = record["datasets"]
-                if len(names) != query.num_variables:
-                    raise ValueError(
-                        f"query has {query.num_variables} variables but "
-                        f"{len(names)} datasets were named"
-                    )
-                known = set(self.registry.dataset_names())
-                missing = [name for name in names if name not in known]
-                if missing:
-                    raise KeyError(
-                        f"unknown datasets {missing}; known: {sorted(known)}"
-                    )
-                labels = list(names)
-                dataset_names = tuple(names)
-        except KeyError as error:
-            message = str(error.args[0]) if error.args else str(error)
-            return error_response(request_id, "solve", "unknown_dataset", message)
-        except ValueError as error:
-            return error_response(request_id, "solve", "bad_request", str(error))
+        if instance_name is not None:
+            # a cold registry entry loads from disk: off the loop
+            instance = await asyncio.to_thread(self.registry.instance, instance_name)
+            labels = [
+                f"{instance_name}/{index}" for index in range(instance.num_variables)
+            ]
+            return instance.query, labels
+        query = build_query(record["query"])
+        names = record["datasets"]
+        if len(names) != query.num_variables:
+            raise ValueError(
+                f"query has {query.num_variables} variables but "
+                f"{len(names)} datasets were named"
+            )
+        known = set(self.registry.dataset_names())
+        missing = [name for name in names if name not in known]
+        if missing:
+            raise KeyError(f"unknown datasets {missing}; known: {sorted(known)}")
+        return query, list(names)
 
-        # cache lookup under the canonical signature
-        cache_key: str | None = None
-        signature = ""
-        order: tuple[int, ...] = tuple(range(query.num_variables))
+    async def _run(
+        self, call: SolveCall, ticket: Ticket
+    ) -> tuple[dict[str, Any], bool]:
+        obs = current()
+        # near-miss tier: an isomorphic query solved under different
+        # knobs seeds this solve's search with its best assignment
         warm_start: tuple[int, ...] | None = None
-        if use_cache:
-            signature, order = canonical_query_key(query, labels)
-            cache_key = solve_cache_key(
-                signature, algorithm, seed, restarts, deadline, max_iterations
-            )
+        if call.use_cache:
             assert self.cache is not None
-            entry = self.cache.get(cache_key)
-            if entry is not None:
-                obs.counter("service.cache.hit").inc()
-                obs.counter("service.warm.exact_hit").inc()
-                self.warm_exact_hits += 1
-                return entry.hit_response(
-                    request_id, order, seed=seed, restarts=restarts
-                )
-            obs.counter("service.cache.miss").inc()
-            # near-miss tier: an isomorphic query solved under different
-            # knobs seeds this solve's search with its best assignment
-            near = self.cache.get_near(signature)
+            near = self.cache.get_near(call.signature)
             if near is not None:
-                warm_start = tuple(near.assignment_for(order))
-
-        # admission: bounded in-flight work, shed the rest
-        ticket = self.admission.try_admit(deadline)
-        if ticket is None:
-            obs.counter("service.shed").inc()
-            obs.gauge("service.queue.depth").set(self.admission.pending)
-            return error_response(
-                request_id,
-                "solve",
-                "overloaded",
-                f"{self.admission.pending} requests already in flight; retry later",
-            )
-        obs.gauge("service.queue.depth").set(self.admission.pending)
-        # admitted: classify the dispatch for the warm-start vocabulary
+                warm_start = tuple(near.assignment_for(call.order))
         if warm_start is not None:
             obs.counter("service.warm.start").inc()
             self.warm_starts += 1
@@ -406,87 +332,51 @@ class JoinServer(LineFrame):
         # "crash every N-th job" plan counts requests, not retries
         fault_index = self._jobs_dispatched
         self._jobs_dispatched += 1
+        observe_solve = self.executor_kind == "process" and getattr(obs, "enabled", False)
         attempt = 0
-        try:
-            while True:
-                executor_used = self._executor
-                try:
-                    # inline payloads may load datasets from disk
-                    job = await asyncio.to_thread(
-                        self._build_job,
-                        record,
-                        instance_name,
-                        dataset_names,
-                        algorithm=algorithm,
-                        seed=seed,
-                        restarts=restarts,
-                        time_limit=ticket.remaining(),
-                        max_iterations=max_iterations,
-                        observe_solve=(
-                            self.executor_kind == "process"
-                            and getattr(obs, "enabled", False)
-                        ),
-                        attempt=attempt,
-                        fault_index=fault_index,
-                        warm_start=warm_start,
-                    )
-                    payload = await self._run_job(job, timeout=ticket.remaining())
-                    break
-                except Exception as error:  # noqa: BLE001 - every solve failure is classified
-                    classified = classify_exception(error)
-                    if classified.code != "worker_crashed":
-                        return error_response(
-                            request_id, "solve", classified.code, classified.message
-                        )
-                    obs.counter("faults.crashes").inc()
-                    # pool rebuild republishes warm segments (file/shm I/O)
-                    await asyncio.to_thread(self._recover_executor, executor_used)
-                    attempt += 1
-                    if ticket.expired() or attempt > MAX_JOB_RETRIES:
-                        # the deadline (or the retry bound) can no longer be
-                        # met: shed with the retryable crash code
-                        return error_response(
-                            request_id,
-                            "solve",
-                            "worker_crashed",
-                            f"worker crashed {attempt}× and the deadline "
-                            "cannot be met; retry",
-                        )
-                    self.jobs_retried += 1
-                    obs.counter("faults.retries").inc()
-        finally:
-            self.admission.release(ticket)
-            obs.gauge("service.queue.depth").set(self.admission.pending)
+        while True:
+            executor_used = self._executor
+            try:
+                # inline payloads may load datasets from disk
+                job = await asyncio.to_thread(
+                    self._build_job,
+                    call,
+                    time_limit=ticket.remaining(),
+                    observe_solve=observe_solve,
+                    attempt=attempt,
+                    fault_index=fault_index,
+                    warm_start=warm_start,
+                )
+                payload = await self._run_job(job, timeout=ticket.remaining())
+                break
+            except Exception as error:  # noqa: BLE001 - every solve failure is classified
+                classified = classify_exception(error)
+                if classified.code != "worker_crashed":
+                    return error_response(
+                        call.request_id, "solve", classified.code, classified.message
+                    ), False
+                obs.counter("faults.crashes").inc()
+                # pool rebuild republishes warm segments (file/shm I/O)
+                await asyncio.to_thread(self._recover_executor, executor_used)
+                attempt += 1
+                if ticket.expired() or attempt > MAX_JOB_RETRIES:
+                    # the deadline (or the retry bound) can no longer be
+                    # met: shed with the retryable crash code
+                    return error_response(
+                        call.request_id,
+                        "solve",
+                        "worker_crashed",
+                        f"worker crashed {attempt}× and the deadline cannot be met; retry",
+                    ), False
+                self.jobs_retried += 1
+                obs.counter("faults.retries").inc()
 
         worker_obs = payload.pop("obs", None)
         if worker_obs is not None and getattr(obs, "enabled", False):
             replay_into(obs, merge_states([worker_obs]))
         if payload["approximate"]:
             obs.counter("service.approximate").inc()
-        if use_cache and cache_key is not None:
-            assert self.cache is not None
-            self.cache.put(
-                cache_key,
-                CacheEntry.from_result(
-                    payload["assignment"],
-                    order,
-                    violations=payload["violations"],
-                    similarity=payload["similarity"],
-                    iterations=payload["iterations"],
-                    elapsed=payload["elapsed"],
-                    algorithm=payload["algorithm"],
-                    signature=signature,
-                ),
-            )
-        return ok_response(
-            request_id,
-            "solve",
-            cached=False,
-            seed=seed,
-            restarts=restarts,
-            recovered=attempt > 0,
-            **payload,
-        )
+        return {"recovered": attempt > 0, **payload}, True
 
     def _recover_executor(self, executor_used: Executor | None) -> None:
         """Rebuild the process pool after a crash broke it.
@@ -510,21 +400,17 @@ class JoinServer(LineFrame):
 
     def _build_job(
         self,
-        record: dict[str, Any],
-        instance_name: str | None,
-        dataset_names: tuple[str, ...] | None,
+        call: SolveCall,
         *,
-        algorithm: str,
-        seed: int,
-        restarts: int,
         time_limit: float,
-        max_iterations: int | None,
         observe_solve: bool,
-        attempt: int = 0,
-        fault_index: int = 0,
-        warm_start: tuple[int, ...] | None = None,
+        attempt: int,
+        fault_index: int,
+        warm_start: tuple[int, ...] | None,
     ) -> SolveJob:
         """A picklable job; data the pool workers lack ships inline."""
+        instance_name = call.record.get("instance")
+        dataset_names = None if instance_name is not None else tuple(call.record["datasets"])
         inline: ProblemInstance | None = None
         if self._worker_names is not None:  # process pool
             if instance_name is not None:
@@ -534,19 +420,19 @@ class JoinServer(LineFrame):
                 name in self._worker_names for name in dataset_names
             ):
                 inline = ProblemInstance(
-                    query=build_query(record["query"]),
+                    query=call.query,
                     datasets=[self.registry.dataset(name) for name in dataset_names],
                 )
         return SolveJob(
             instance_name=None if inline is not None else instance_name,
-            query=None if inline is not None else record.get("query"),
+            query=None if inline is not None else call.record.get("query"),
             dataset_names=None if inline is not None else dataset_names,
             inline_instance=inline,
-            algorithm=algorithm,
-            seed=seed,
-            restarts=restarts,
+            algorithm=call.algorithm,
+            seed=call.seed,
+            restarts=call.restarts,
             time_limit=time_limit,
-            max_iterations=max_iterations,
+            max_iterations=call.max_iterations,
             observe=observe_solve,
             attempt=attempt,
             fault_index=fault_index,

@@ -295,9 +295,11 @@ class TestRouter:
         assert info["degraded"] is False
         assert response["exact"] is False
 
-    def test_bad_fanout_is_rejected(self, fleet):
+    @pytest.mark.parametrize("fanout", [0, True])
+    def test_bad_fanout_is_rejected(self, fleet, fanout):
+        # True is an int to Python, never to the protocol
         with JoinClient(*fleet.address) as client:
-            response = client.request(solve_record(fanout=0))
+            response = client.request(solve_record(fanout=fanout))
         assert response["status"] == "error"
         assert response["error"]["code"] == "bad_request"
 

@@ -1,10 +1,11 @@
 """The shared JSON-lines front end, run against both endpoints that use it.
 
 :class:`~repro.service.frame.LineFrame` owns the read loop, the line
-handler and request accounting for :class:`JoinServer` and
+handler, request accounting and the solve pipeline's shared stages
+(resolve errors, cache lookup, admission) for :class:`JoinServer` and
 :class:`FleetRouter` alike, so every behaviour here is checked on both: a
 thread-executor server and a router whose shard endpoints are dead (the
-frame never needs a shard).
+frame never needs a shard; solves that must run fake the shard legs).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 from repro import QueryGraph, hard_instance
 from repro.fleet import FleetRouter, partition_instance
+from repro.obs import MemorySink, Observation, observe
 from repro.service import DatasetRegistry, JoinServer
 from repro.service.frame import LINE_LIMIT
 from repro.service.protocol import PROTOCOL_VERSION
@@ -32,13 +34,13 @@ def _dead_endpoints(spec):
     return {name: ("127.0.0.1", 1) for name in spec.server_names}
 
 
-def _build(kind):
+def _build(kind, **options):
     if kind == "server":
         registry = DatasetRegistry()
         registry.register_instance("acc", _chain_instance())
-        return JoinServer(registry, workers=1, executor="thread")
+        return JoinServer(registry, workers=1, executor="thread", **options)
     spec = partition_instance(_chain_instance(), 2, name="acc").spec
-    return FleetRouter(spec, _dead_endpoints(spec))
+    return FleetRouter(spec, _dead_endpoints(spec), **options)
 
 
 class EndpointThread:
@@ -178,3 +180,116 @@ class TestCacheHitReply:
         miss, hit = self._miss_then_hit(router)
         assert set(hit) == set(miss)
         assert hit["fleet"] == {"shards": 2, "cached": True}
+
+    def test_router_hit_replays_the_exactness_of_its_miss(self):
+        router = _build("router")
+        first, second = (shard.name for shard in router.spec.shards)
+
+        async def fake_sub_solve(server, tile, fields, tag):
+            answer = _shard_answer(router.spec)
+            if tile.name == second:
+                answer.update(violations=1, similarity=0.5, exact=False)
+            return answer
+
+        router._sub_solve = fake_sub_solve
+        miss, hit = self._miss_then_hit(router)
+        # the zero-violation tile wins the merge, but one tile's search
+        # stayed approximate, so the merged answer is approximate
+        assert miss["fleet"]["shard"] == first
+        assert (miss["violations"], miss["exact"], miss["approximate"]) == (0, False, True)
+        assert (hit["exact"], hit["approximate"]) == (miss["exact"], miss["approximate"])
+
+
+def _solve_line(request_id, **fields):
+    record = {"instance": "acc", "deadline": 5.0, "max_iterations": 50, **fields}
+    return line("solve", request_id, **record)
+
+
+def _hold_solves(endpoint, release):
+    """Make every solve on ``endpoint`` wait for ``release`` before it runs."""
+    if isinstance(endpoint, FleetRouter):
+
+        async def held_sub_solve(server, tile, fields, tag):
+            await release.wait()
+            return _shard_answer(endpoint.spec)
+
+        endpoint._sub_solve = held_sub_solve
+        return
+    run_job = endpoint._run_job
+
+    async def held_run_job(job, timeout):
+        await release.wait()
+        return await run_job(job, timeout)
+
+    endpoint._run_job = held_run_job
+
+
+@pytest.mark.parametrize("kind", ["server", "router"])
+class TestSolveStages:
+    """The resolve, admit and lookup stages every solve crosses, on both endpoints."""
+
+    def test_unknown_instance_is_unknown_dataset(self, kind):
+        endpoint = _build(kind)
+        response = asyncio.run(endpoint._handle_line(_solve_line("u", instance="nope")))
+        assert response["status"] == "error"
+        assert response["error"]["code"] == "unknown_dataset"
+        assert endpoint.admission.admitted_total == 0
+        assert endpoint.cache.stats()["misses"] == 0
+
+    def test_second_solve_is_shed_while_one_is_in_flight(self, kind):
+        endpoint = _build(kind, max_pending=1)
+
+        async def main():
+            release = asyncio.Event()
+            _hold_solves(endpoint, release)
+            await endpoint.start()
+            try:
+                held = asyncio.create_task(
+                    endpoint._handle_line(_solve_line("held", cache=False))
+                )
+                for _ in range(500):
+                    if endpoint.admission.pending:
+                        break
+                    await asyncio.sleep(0.01)
+                assert endpoint.admission.pending == 1
+                shed = await endpoint._handle_line(_solve_line("shed", cache=False))
+                release.set()
+                return await held, shed
+            finally:
+                await endpoint.stop()
+
+        with observe(Observation(sink=MemorySink())) as obs:
+            held, shed = asyncio.run(main())
+        assert held["status"] == "ok"
+        assert shed["status"] == "error"
+        assert shed["error"]["code"] == "overloaded"
+        assert shed["error"]["retryable"] is True
+        assert endpoint.admission.shed_total == 1
+        own, other = "service.shed", "fleet.shed"
+        if kind == "router":
+            own, other = other, own
+        counters = obs.registry.snapshot()["counters"]
+        assert counters[own] == 1
+        assert other not in counters
+
+    def test_cache_false_leaves_the_cache_untouched(self, kind):
+        endpoint = _build(kind)
+        release = asyncio.Event()
+        release.set()
+        _hold_solves(endpoint, release)
+
+        async def main():
+            await endpoint.start()
+            try:
+                return [
+                    await endpoint._handle_line(_solve_line(f"c-{n}", cache=False))
+                    for n in range(2)
+                ]
+            finally:
+                await endpoint.stop()
+
+        for response in asyncio.run(main()):
+            assert response["status"] == "ok"
+            assert response["cached"] is False
+        stats = endpoint.cache.stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 0, 0)

@@ -154,22 +154,12 @@ class TestSolutionCache:
         assert cache.get("c") is not None
         assert cache.evictions == 1
 
-    def test_ttl_expiry_with_fake_clock(self):
-        now = [0.0]
-        cache = SolutionCache(capacity=4, ttl=10.0, clock=lambda: now[0])
-        cache.put("k", entry())
-        now[0] = 9.9
-        assert cache.get("k") is not None
-        now[0] = 10.0
-        assert cache.get("k") is None
-        assert cache.expirations == 1
-        assert cache.stats()["misses"] == 1
-
     def test_capacity_and_ttl_validated(self):
         with pytest.raises(ValueError):
             SolutionCache(capacity=0)
-        with pytest.raises(ValueError):
-            SolutionCache(ttl=0.0)
+        # entries live until evicted: a TTL is not a knob at all
+        with pytest.raises(TypeError):
+            SolutionCache(ttl=10.0)  # type: ignore[call-arg]
 
     def test_isomorphic_queries_share_a_signature(self):
         chain = QueryGraph.chain(3)

@@ -427,14 +427,6 @@ class TestNearMissTier:
         near = cache.get_near("sig")
         assert near is not None and near.assignment == (2, 2, 2)
 
-    def test_near_respects_ttl(self):
-        now = [0.0]
-        cache = SolutionCache(capacity=8, ttl=5.0, clock=lambda: now[0])
-        cache.put("stale", entry())
-        now[0] = 10.0
-        assert cache.get_near("sig") is None
-        assert cache.stats()["expirations"] == 1
-
     def test_eviction_keeps_signature_index_consistent(self):
         cache = SolutionCache(capacity=1)
         cache.put("first", entry(assignment=(1, 1, 1)))
