@@ -27,7 +27,7 @@ from ..faults import checkpoint_incumbent
 from ..index.stats import index_work_since, node_reads_probe, snapshot_trees
 from ..obs import current
 from ..query import ProblemInstance
-from .best_value import find_best_value
+from .best_value import ProbeMemo
 from .budget import Budget
 from .evaluator import QueryEvaluator
 from .penalties import PenaltyTable
@@ -76,6 +76,7 @@ def guided_indexed_local_search(
     evaluator = evaluator or QueryEvaluator(instance)
     warm_values = evaluator.validated_warm_start(warm_start)
     penalties = PenaltyTable(config.resolve_lambda(instance))
+    memo = ProbeMemo(evaluator, penalties)
     obs = current()
     baseline = snapshot_trees(evaluator.trees)
     probe = node_reads_probe(evaluator.trees)
@@ -113,7 +114,7 @@ def guided_indexed_local_search(
         done = config.stop_on_exact and state.is_exact
         with obs.span("gils.climb", io=probe):
             while not done and not budget.exhausted():
-                improved = _improve_once_effective(state, evaluator, penalties)
+                improved = _improve_once_effective(state, memo)
                 iterations += 1
                 budget.tick()
                 if improved:
@@ -144,34 +145,21 @@ def guided_indexed_local_search(
             "penalties_issued": penalties.total_issued,
             "penalised_assignments": len(penalties),
             "lambda": penalties.lam,
+            "probes": memo.stats(),
             "index": index_work,
         },
     )
 
 
-def _improve_once_effective(
-    state: SolutionState, evaluator: QueryEvaluator, penalties: PenaltyTable
-) -> bool:
+def _improve_once_effective(state: SolutionState, memo: ProbeMemo) -> bool:
     """One GILS step: strictly improve some variable's *effective* score.
 
     The effective score of assignment ``v ← r`` is
     ``satisfied(v) − λ·penalty(v ← r)``; raising it by any amount lowers the
-    solution's effective inconsistency degree.
+    solution's effective inconsistency degree.  Unlike ILS, a variable with
+    no violation may still move: to a less punished value of equal count.
     """
     for variable in state.worst_variable_order():
-        floor = float(state.sat[variable]) - penalties.weighted(
-            variable, state.values[variable]
-        )
-        constraints = state.constraint_windows(variable)
-        if not constraints:
-            continue
-        found = find_best_value(
-            evaluator.trees[variable],
-            constraints,
-            floor_score=floor,
-            penalty=lambda item, _v=variable: penalties.weighted(_v, item),
-        )
-        if found is not None:
-            state.set_value(variable, found.item, found.rect)
+        if memo.improve(state, variable):
             return True
     return False

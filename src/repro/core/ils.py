@@ -23,20 +23,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from ..faults import checkpoint_incumbent
 from ..geometry import Rect
 from ..index.stats import index_work_since, node_reads_probe, snapshot_trees
 from ..obs import current
 from ..query import ProblemInstance
-from .best_value import find_best_value
+from .best_value import ProbeMemo
 from .budget import Budget
 from .evaluator import QueryEvaluator
 from .result import RunResult
 from .solution import SolutionState
 
-__all__ = ["ILSConfig", "indexed_local_search"]
+__all__ = ["ILSConfig", "indexed_local_search", "improve_worst_first"]
 
 
 @dataclass
@@ -83,8 +84,8 @@ def indexed_local_search(
     budget.start()
 
     trace = obs.convergence_trace()
-    best_values: tuple[int, ...] | None = None
-    best_violations = evaluator.num_constraints + 1
+    best_values: tuple[int, ...] = ()
+    best_violations = evaluator.num_constraints + 1  # beaten by the first seed
     local_maxima = 0
     restarts = 0
     iterations = 0
@@ -102,9 +103,17 @@ def indexed_local_search(
                 budget.elapsed(), iterations,
             )
 
+    memo = ProbeMemo(evaluator)
+    improve: Callable[[SolutionState, int], bool] = (
+        memo.improve
+        if config.use_index
+        else partial(_improve_with_random_tries, config=config, rng=rng)
+    )
     done = False
     with obs.span("ils.run", io=probe):
-        while not done and not budget.exhausted():
+        # the first seed is drawn before the first budget check (as GILS
+        # does), so even a run whose budget is already spent answers
+        while not done:
             obs.event("restart", index=restarts)
             obs.counter("ils.restarts").inc()
             restarts += 1
@@ -121,27 +130,26 @@ def indexed_local_search(
                 break
             # climb to a local maximum
             with obs.span("ils.climb", io=probe):
-                while not done:
-                    improved = _improve_once(state, evaluator, config, rng)
+                while not budget.exhausted():
+                    improved = improve_worst_first(state, improve)
                     iterations += 1
                     budget.tick()
-                    if improved:
-                        note_if_best(state)
-                        if config.stop_on_exact and state.is_exact:
-                            done = True
-                    else:
+                    if not improved:
                         local_maxima += 1
                         obs.counter("ils.local_maxima").inc()
                         obs.event("local_maximum", violations=state.violations)
                         break
-                    if budget.exhausted():
+                    note_if_best(state)
+                    if config.stop_on_exact and state.is_exact:
                         done = True
+                        break
+            done = done or budget.exhausted()
 
     index_work = index_work_since(evaluator.trees, baseline)
     obs.absorb_index_work(index_work)
     return RunResult(
         algorithm="ILS" if config.use_index else "LS-random",
-        best_assignment=best_values if best_values is not None else (),
+        best_assignment=best_values,
         best_violations=best_violations,
         best_similarity=evaluator.similarity(best_violations),
         elapsed=budget.elapsed(),
@@ -151,57 +159,36 @@ def indexed_local_search(
         stats={
             "local_maxima": local_maxima,
             "restarts": restarts,
+            "probes": memo.stats(),
             "index": index_work,
         },
     )
 
 
-def _improve_once(
-    state: SolutionState,
-    evaluator: QueryEvaluator,
-    config: ILSConfig,
-    rng: random.Random,
+def improve_worst_first(
+    state: SolutionState, improve: Callable[[SolutionState, int], bool]
 ) -> bool:
     """One ILS step: strictly improve some variable, worst-first.
 
-    Returns ``False`` when no variable can be improved, i.e. the state is a
-    local maximum.
+    ``improve(state, variable)`` re-instantiates one variable if it can —
+    a run's :meth:`ProbeMemo.improve`, or the random-tries ablation.  SEA's
+    climbs and mutation take the same step.  Returns ``False`` when no
+    variable can be improved, i.e. the state is a local maximum.
     """
     for variable in state.worst_variable_order():
         if state.violated_count(variable) == 0:
             # variables are worst-first: the rest satisfy everything already
             break
-        if config.use_index:
-            if _improve_with_index(state, evaluator, variable):
-                return True
-        else:
-            if _improve_with_random_tries(state, evaluator, variable, config, rng):
-                return True
+        if improve(state, variable):
+            return True
     return False
 
 
-def _improve_with_index(
-    state: SolutionState, evaluator: QueryEvaluator, variable: int
-) -> bool:
-    constraints = state.constraint_windows(variable)
-    found = find_best_value(
-        evaluator.trees[variable], constraints, floor_score=float(state.sat[variable])
-    )
-    if found is None:
-        return False
-    state.set_value(variable, found.item, found.rect)
-    return True
-
-
 def _improve_with_random_tries(
-    state: SolutionState,
-    evaluator: QueryEvaluator,
-    variable: int,
-    config: ILSConfig,
-    rng: random.Random,
+    state: SolutionState, variable: int, config: ILSConfig, rng: random.Random
 ) -> bool:
     """[PMK+99]-style move: sample random values, keep the best improving one."""
-    columns = evaluator.columns[variable]
+    columns = state.evaluator.columns[variable]
     constraints = state.constraint_windows(variable)
     best_satisfied = state.sat[variable]
     best: tuple[int, Rect] | None = None

@@ -48,9 +48,10 @@ from ..faults import checkpoint_incumbent
 from ..index.stats import index_work_since, node_reads_probe, snapshot_trees
 from ..obs import current
 from ..query import ProblemInstance
-from .best_value import find_best_value
+from .best_value import ProbeMemo
 from .budget import Budget
 from .evaluator import QueryEvaluator
+from .ils import improve_worst_first
 from .result import RunResult
 from .sea_params import SEAParameters
 from .solution import SolutionState
@@ -122,6 +123,7 @@ def spatial_evolutionary_algorithm(
     obs = current()
     baseline = snapshot_trees(evaluator.trees)
     probe = node_reads_probe(evaluator.trees)
+    memo = ProbeMemo(evaluator)
     budget.start()
 
     trace = obs.convergence_trace()
@@ -139,7 +141,7 @@ def spatial_evolutionary_algorithm(
                 population[0] = evaluator.make_state(warm_values)
             if config.seed_with_local_maxima:
                 population = [
-                    _climb_to_local_maximum(state, evaluator, budget)
+                    _climb_to_local_maximum(state, memo, budget)
                     for state in population
                 ]
         best_values: tuple[int, ...] = population[0].as_tuple()
@@ -190,7 +192,7 @@ def spatial_evolutionary_algorithm(
                     )
                     for index in worst_first[:immigrant_quota]:
                         fresh = _climb_to_local_maximum(
-                            evaluator.random_state(rng), evaluator, budget
+                            evaluator.random_state(rng), memo, budget
                         )
                         population[index] = fresh
                         immigrants += 1
@@ -235,7 +237,9 @@ def spatial_evolutionary_algorithm(
                         and rng.random() >= parameters.mutation_rate
                     ):
                         continue
-                    _mutate(state, evaluator)
+                    # index-based: re-instantiate the worst variable via
+                    # find_best_value (only ever improves the solution)
+                    improve_worst_first(state, memo.improve)
                     mutations += 1
 
                 # --- evaluation -----------------------------------------
@@ -274,36 +278,20 @@ def spatial_evolutionary_algorithm(
             "final_crossover_point": parameters.crossover_point(
                 generation, num_variables
             ),
+            "probes": memo.stats(),
             "index": index_work,
         },
     )
 
 
 def _climb_to_local_maximum(
-    state: SolutionState, evaluator: QueryEvaluator, budget: Budget
+    state: SolutionState, memo: ProbeMemo, budget: Budget
 ) -> SolutionState:
     """Hill-climb ``state`` to an ILS local maximum (budget-aware)."""
     while not budget.exhausted():
-        if not _improve_some_variable(state, evaluator):
+        if not improve_worst_first(state, memo.improve):
             break
     return state
-
-
-def _improve_some_variable(state: SolutionState, evaluator: QueryEvaluator) -> bool:
-    """One worst-first improvement step (shared with mutation)."""
-    for variable in state.worst_variable_order():
-        if state.violated_count(variable) == 0:
-            return False
-        constraints = state.constraint_windows(variable)
-        found = find_best_value(
-            evaluator.trees[variable],
-            constraints,
-            floor_score=float(state.sat[variable]),
-        )
-        if found is not None:
-            state.set_value(variable, found.item, found.rect)
-            return True
-    return False
 
 
 def greedy_keep_set(state: SolutionState, count: int) -> set[int]:
@@ -352,9 +340,3 @@ def _random_keep_set(num_variables: int, count: int, rng: random.Random) -> set[
     count = max(1, min(count, num_variables - 1))
     start = rng.randrange(num_variables)
     return {(start + offset) % num_variables for offset in range(count)}
-
-
-def _mutate(state: SolutionState, evaluator: QueryEvaluator) -> None:
-    """Index-based mutation: re-instantiate the worst variable via
-    ``find_best_value`` (only ever improves the solution)."""
-    _improve_some_variable(state, evaluator)

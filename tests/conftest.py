@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import os
 import random
+from functools import partial
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro import QueryGraph, Rect, RStarTree, bulk_load, hard_instance
+from repro.core.best_value import ProbeMemo, find_best_value
 from repro.geometry import INTERSECTS
 from repro.index.bulk import pack_tree, tree_from_packed
 from repro.index.queries import search_predicate
@@ -17,7 +19,8 @@ from repro.index.queries import search_predicate
 # ----------------------------------------------------------------------
 # hypothesis profiles: HYPOTHESIS_PROFILE=deep runs every property that
 # does not pin its own example count (CI runs the R*-tree oracle
-# properties, tests/test_rstar.py -k MatchOracle, so)
+# properties, tests/test_rstar.py -k MatchOracle, and the probe memo's,
+# tests/test_best_value.py -k ProbeMemo, so)
 # ----------------------------------------------------------------------
 settings.register_profile("deep", max_examples=600, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -107,3 +110,50 @@ def tiny_chain_instance():
 def small_clique_instance():
     """5-variable clique over 400-object datasets: fast heuristics."""
     return hard_instance(QueryGraph.clique(5), cardinality=400, seed=7)
+
+
+@pytest.fixture
+def without_memo(monkeypatch):
+    """``without_memo(search, *args, **kwargs)`` runs a heuristic with its
+    probe memo a pass-through: every probe is a fresh ``find_best_value``."""
+
+    def descend_every_probe(memo, state, variable, floor):
+        penalties = memo._penalties
+        penalty = None if penalties is None else partial(penalties.weighted, variable)
+        return find_best_value(
+            memo._trees[variable], state.constraint_windows(variable), floor, penalty
+        )
+
+    def run(search, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(ProbeMemo, "probe", descend_every_probe)
+            return search(*args, **kwargs)
+
+    return run
+
+
+@pytest.fixture
+def memo_ab(without_memo):
+    """``memo_ab(search, instance, budget, **kwargs)`` → the run with its
+    probe memo and the same run without it (each on a fresh copy of
+    ``budget``)."""
+
+    def run(search, instance, budget, **kwargs):
+        memoised = search(instance, budget.spawn(), **kwargs)
+        return memoised, without_memo(search, instance, budget.spawn(), **kwargs)
+
+    return run
+
+
+def assert_memo_changed_nothing(memoised, plain, *stats):
+    """Same run with and without the memo; the memo only saved descents."""
+    assert memoised.best_assignment == plain.best_assignment
+    assert memoised.best_violations == plain.best_violations
+    assert memoised.iterations == plain.iterations
+    for key in stats:
+        assert memoised.stats[key] == plain.stats[key], key
+    probes = memoised.stats["probes"]
+    assert probes["asked"] == plain.stats["index"]["best_value_searches"]
+    assert memoised.stats["index"]["best_value_searches"] == (
+        probes["asked"] - probes["answered"]
+    )

@@ -14,15 +14,27 @@ oracle: same *item*, same ``node_reads`` / ``leaf_reads`` — i.e. the same
 visit order and tie-breaks, which is what keeps seeded runs reproducible.
 """
 
+import gc
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Rect, RStarTree, bulk_load
-from repro.core.best_value import BestValue, brute_force_best_value, find_best_value
+from repro import QueryGraph, Rect, RStarTree, bulk_load
+from repro.core import best_value
+from repro.core.best_value import (
+    BestValue,
+    ProbeMemo,
+    brute_force_best_value,
+    find_best_value,
+)
+from repro.core.evaluator import QueryEvaluator
+from repro.core.penalties import PenaltyTable
+from repro.data import SpatialDataset
+from repro.query import ProblemInstance
 from repro.geometry import CONTAINS, INSIDE, INTERSECTS, NORTHEAST, WithinDistance
 from repro.geometry.kernels import make_count_scorer
 from repro.index.bulk import pack_tree, tree_from_packed
@@ -314,3 +326,156 @@ class TestPruningEfficiency:
         find_best_value(tree, constraints, 0.0)
         assert tree.stats.node_reads < total_nodes / 2
         assert tree.stats.best_value_searches == 1
+
+
+# ----------------------------------------------------------------------
+# the per-run probe memo
+# ----------------------------------------------------------------------
+#: coordinates on a half-unit grid: many equal counts, touching edges
+_grid = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+_side = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+grid_rects = st.builds(lambda x, y, w, h: Rect(x, y, x + w, y + h), _grid, _grid, _side, _side)
+
+#: the centre of a three-leaf star joins its leaves by these (centre → leaf)
+PREDICATE_MIXES = {
+    "intersects": (INTERSECTS, INTERSECTS, INTERSECTS),
+    "mixed": (INSIDE, NORTHEAST, CONTAINS),
+    "within_distance": (WithinDistance(0.5), INTERSECTS, WithinDistance(1.0)),
+}
+
+
+BUILDERS = (bulk_load, _inserted, _unpacked, _never_inflated, _remutated)
+
+
+def star_evaluator(builder, centre, leaves, predicates, max_entries=4):
+    """Variable 0 joins leaf ``j`` by ``predicates[j − 1]``; every dataset is
+    indexed by ``builder(entries, max_entries)``."""
+
+    def dataset(rect_list):
+        entries = list(zip(rect_list, range(len(rect_list))))
+        return SpatialDataset(rect_list, tree=builder(entries, max_entries))
+
+    query = QueryGraph(len(leaves) + 1)
+    for leaf, predicate in enumerate(predicates, start=1):
+        query.add_edge(0, leaf, predicate)
+    datasets = [dataset(rect_list) for rect_list in [centre, *leaves]]
+    return QueryEvaluator(ProblemInstance(query, datasets))
+
+
+def assert_identical(found, expected):
+    if expected is None:
+        assert found is None
+        return
+    assert found is not None
+    assert (found.item, found.rect, found.satisfied, found.score) == (
+        expected.item, expected.rect, expected.satisfied, expected.score
+    )
+
+
+def replay_probes(evaluator, penalties, rng, steps=60):
+    """A GILS-like probe sequence: the memo's every answer against a fresh
+    ``find_best_value``.  Floors re-ask the current value's score (and, after
+    a failure, again once its assignments were punished), jump to whole
+    counts, to λ-steps below them and between them; states move by the
+    answers found and are sometimes re-drawn.  Returns the memo."""
+    memo = ProbeMemo(evaluator, penalties)
+    lam = penalties.lam if penalties is not None else 0.0
+    state = evaluator.random_state(rng)
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.15:
+            state = evaluator.random_state(rng)
+        elif roll < 0.3 and penalties is not None:
+            penalties.punish_minimum(evaluator.random_state(rng).values)
+        variable = rng.randrange(evaluator.num_variables)
+        own = float(state.sat[variable])
+        if penalties is not None:
+            own -= penalties.weighted(variable, state.values[variable])
+        whole = float(rng.randrange(-1, evaluator.degrees[variable] + 1))
+        floor = rng.choice(
+            [own, own, whole, whole - lam * rng.randrange(1, 4), whole + 0.5]
+        )
+        penalty = None if penalties is None else partial(penalties.weighted, variable)
+        expected = find_best_value(
+            evaluator.trees[variable], state.constraint_windows(variable), floor, penalty
+        )
+        found = memo.probe(state, variable, floor)
+        assert_identical(found, expected)
+        if found is not None and rng.random() < 0.5:
+            state.set_value(variable, found.item, found.rect)
+        elif found is None and penalties is not None and rng.random() < 0.7:
+            penalties.punish_minimum(state.values)  # a local maximum: punish, re-ask
+    return memo
+
+
+class TestProbeMemo:
+    """The memo answers every probe exactly as a fresh descent would: same
+    item, satisfied count and score — only without the descent."""
+
+    # no pinned example count: CI reruns this under HYPOTHESIS_PROFILE=deep
+    @pytest.mark.parametrize("lam", [None, 1e-9, 0.6], ids=["plain", "tiny", "large"])
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(BUILDERS),
+        st.sampled_from(sorted(PREDICATE_MIXES)),
+        st.lists(grid_rects, min_size=1, max_size=40),
+        st.lists(st.lists(grid_rects, min_size=1, max_size=3), min_size=3, max_size=3),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_answers_equal_a_fresh_descent(self, lam, builder, mix, centre, leaves, seed):
+        evaluator = star_evaluator(builder, centre, leaves, PREDICATE_MIXES[mix])
+        penalties = None if lam is None else PenaltyTable(lam)
+        replay_probes(evaluator, penalties, random.Random(seed))
+
+    @pytest.mark.parametrize("lam", [None, 1e-9, 0.6], ids=["plain", "tiny", "large"])
+    def test_repeated_probes_skip_the_descent(self, lam):
+        """Certificates, known maxima and plateau lists all fire on a
+        tie-rich instance, and ``best_value_searches`` counts descents only."""
+        rng = random.Random(5)
+        centre = [Rect.from_center(rng.random(), rng.random(), 0.3, 0.3) for _ in range(300)]
+        leaves = [[Rect.from_center(rng.random(), rng.random(), 0.3, 0.3)] for _ in range(3)]
+        evaluator = star_evaluator(
+            bulk_load, centre, leaves, PREDICATE_MIXES["intersects"], max_entries=8
+        )
+        penalties = None if lam is None else PenaltyTable(lam)
+        memo = replay_probes(evaluator, penalties, random.Random(6), steps=300)
+        stats = memo.stats()
+        descents = sum(tree.stats.best_value_searches for tree in evaluator.trees)
+        # every probe was asked of find_best_value too, once
+        assert descents == 2 * stats["asked"] - stats["answered"]
+        assert stats["answered"] > 0
+        if penalties is not None:
+            assert stats["plateau_lists"] > 0
+
+    @pytest.mark.parametrize("lam", [None, 1e-9], ids=["plain", "tiny"])
+    def test_memo_holds_nothing_the_collector_tracks(self, lam):
+        """Keys, ceilings, positions and plateau arrays are plain numbers, so
+        a run's memo never fills the collector's young generation: when the
+        collector next runs after a search does not depend on the memo."""
+        rng = random.Random(5)
+        centre = [Rect.from_center(rng.random(), rng.random(), 0.3, 0.3) for _ in range(300)]
+        leaves = [[Rect.from_center(rng.random(), rng.random(), 0.3, 0.3)] for _ in range(3)]
+        evaluator = star_evaluator(
+            bulk_load, centre, leaves, PREDICATE_MIXES["intersects"], max_entries=8
+        )
+        penalties = None if lam is None else PenaltyTable(lam)
+        memo = replay_probes(evaluator, penalties, random.Random(6), steps=300)
+        held = [
+            value
+            for table in (memo._ceilings, memo._maxima, memo._plateaus)
+            for pair in table.items()
+            for value in pair
+        ]
+        assert held
+        assert not [value for value in held if gc.is_tracked(value)]
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(best_value, "MEMO_KEYS", 4)
+        rng = random.Random(8)
+        rect_list = [Rect.from_center(rng.random(), rng.random(), 0.2, 0.2) for _ in range(50)]
+        evaluator = star_evaluator(
+            bulk_load, rect_list, [rect_list] * 3, PREDICATE_MIXES["intersects"]
+        )
+        memo = replay_probes(evaluator, PenaltyTable(1e-9), rng, steps=200)
+        assert len(memo._ceilings) <= 4
+        assert set(memo._maxima) | set(memo._plateaus) <= set(memo._ceilings)

@@ -1,11 +1,15 @@
 """Guided Indexed Local Search and penalty-table tests."""
 
+import random
+
 import pytest
 
 from repro import Budget, QueryGraph, guided_indexed_local_search, planted_instance
 from repro.core.evaluator import QueryEvaluator
 from repro.core.gils import DEFAULT_LAMBDA_FACTOR, GILSConfig
 from repro.core.penalties import PenaltyTable
+
+from conftest import assert_memo_changed_nothing
 
 
 class TestPenaltyTable:
@@ -127,3 +131,22 @@ class TestRuns:
         assert working.stats["penalised_assignments"] >= tiny.stats[
             "penalised_assignments"
         ]
+
+
+class TestProbeMemo:
+    @pytest.mark.parametrize("lam", [None, 0.6], ids=["paper", "large"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["seeded", "warm"])
+    def test_probe_memo_changes_nothing_but_descents(
+        self, small_clique_instance, memo_ab, lam, warm
+    ):
+        warm_start = [random.Random(4).randrange(400) for _ in range(5)] if warm else None
+        memoised, plain = memo_ab(
+            guided_indexed_local_search, small_clique_instance, Budget.iterations(400),
+            seed=2, config=GILSConfig(lam=lam), warm_start=warm_start,
+        )
+        assert_memo_changed_nothing(
+            memoised, plain, "local_maxima", "penalties_issued", "penalised_assignments"
+        )
+        probes = memoised.stats["probes"]
+        assert probes["answered"] > 0
+        assert probes["plateau_lists"] > 0

@@ -16,6 +16,8 @@ from repro import (
 from repro.core.evaluator import QueryEvaluator
 from repro.core.sea import greedy_keep_set
 
+from conftest import assert_memo_changed_nothing
+
 
 class TestParameters:
     def test_paper_schedule(self):
@@ -192,3 +194,15 @@ class TestRuns:
             small_clique_instance, Budget.iterations(7), seed=4, config=config
         )
         assert result.iterations == 7
+
+
+class TestProbeMemo:
+    @pytest.mark.parametrize("warm", [False, True], ids=["seeded", "warm"])
+    def test_probe_memo_changes_nothing_but_descents(self, small_clique_instance, memo_ab, warm):
+        warm_start = [random.Random(4).randrange(400) for _ in range(5)] if warm else None
+        memoised, plain = memo_ab(
+            spatial_evolutionary_algorithm, small_clique_instance, Budget.iterations(6),
+            seed=2, warm_start=warm_start,
+        )
+        assert_memo_changed_nothing(memoised, plain, "mutations", "immigrants", "crossovers")
+        assert memoised.stats["probes"]["answered"] > 0
