@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro import QueryGraph, Rect, RStarTree, bulk_load, hard_instance
 from repro.core.best_value import ProbeMemo, find_best_value
+from repro.core.ibb import WindowMemo
 from repro.geometry import INTERSECTS
 from repro.index.bulk import pack_tree, tree_from_packed
 from repro.index.queries import search_predicate
@@ -19,8 +20,9 @@ from repro.index.queries import search_predicate
 # ----------------------------------------------------------------------
 # hypothesis profiles: HYPOTHESIS_PROFILE=deep runs every property that
 # does not pin its own example count (CI runs the R*-tree oracle
-# properties, tests/test_rstar.py -k MatchOracle, and the probe memo's,
-# tests/test_best_value.py -k ProbeMemo, so)
+# properties, tests/test_rstar.py -k MatchOracle, the probe memo's,
+# tests/test_best_value.py -k ProbeMemo, and the window memo's,
+# tests/test_ibb.py -k WindowMemo, so)
 # ----------------------------------------------------------------------
 settings.register_profile("deep", max_examples=600, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -127,6 +129,26 @@ def without_memo(monkeypatch):
     def run(search, *args, **kwargs):
         with monkeypatch.context() as patch:
             patch.setattr(ProbeMemo, "probe", descend_every_probe)
+            return search(*args, **kwargs)
+
+    return run
+
+
+@pytest.fixture
+def without_window_memo(monkeypatch):
+    """``without_window_memo(search, *args, **kwargs)`` runs IBB with its
+    window memo a pass-through: every candidate list comes from fresh
+    per-edge window queries, one per instantiated neighbour."""
+    candidates = WindowMemo.candidates
+
+    def query_every_edge(memo, depth, values):
+        memo._hits.clear()
+        memo._shared_keys[depth] = -1
+        return candidates(memo, depth, values)
+
+    def run(search, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(WindowMemo, "candidates", query_every_edge)
             return search(*args, **kwargs)
 
     return run
