@@ -9,8 +9,12 @@ Two formats:
 
 Both move the table as one ``(N, 4)`` array — no per-row object in either
 direction — and every loader rejects non-finite or inverted rows (the
-dataset validates its columns); indexes are rebuilt on load (bulk loading is
-fast and index layout is not part of the persisted state).
+dataset validates its columns).  Indexes are rebuilt on load by STR bulk
+loading, which is fast and a function of the rows and the node capacity
+alone; ``.npz`` files therefore store the capacity (``max_entries``) next to
+the rows, so a reloaded dataset gets the same tree — the same node reads
+and, at ties, the same answers.  Files written without it, and ``.csv``
+files, load with the default capacity.
 """
 
 from __future__ import annotations
@@ -27,24 +31,32 @@ __all__ = ["save_npz", "load_npz", "save_csv", "load_csv"]
 
 
 def _dataset_of(
-    path: str | Path, coordinates: np.ndarray, name: str, workspace: Rect
+    path: str | Path,
+    coordinates: np.ndarray,
+    name: str,
+    workspace: Rect,
+    max_entries: int | None = None,
 ) -> SpatialDataset:
     """A dataset over loaded ``(N, 4)`` rows; a bad row is reported with its file."""
     try:
         return SpatialDataset(
-            RectColumns.from_bounds(coordinates), name=name, workspace=workspace
+            RectColumns.from_bounds(coordinates),
+            name=name,
+            workspace=workspace,
+            max_entries=max_entries,
         )
     except ValueError as error:
         raise ValueError(f"{path}: {error}") from None
 
 
 def save_npz(dataset: SpatialDataset, path: str | Path) -> None:
-    """Write a dataset (rects + workspace + name) to a ``.npz`` file."""
+    """Write a dataset (rects + workspace + name + node capacity) to a ``.npz`` file."""
     np.savez_compressed(
         Path(path),
         coordinates=np.asarray(dataset.columns),
         workspace=np.array(dataset.workspace, dtype=np.float64),
         name=np.array(dataset.name),
+        max_entries=np.array(dataset.tree.max_entries, dtype=np.int64),
     )
 
 
@@ -54,7 +66,9 @@ def load_npz(path: str | Path) -> SpatialDataset:
         coordinates = archive["coordinates"]
         workspace = Rect(*(float(c) for c in archive["workspace"]))
         name = str(archive["name"])
-    return _dataset_of(path, coordinates, name, workspace)
+        # files written before the capacity was stored: the default
+        max_entries = int(archive["max_entries"]) if "max_entries" in archive else None
+    return _dataset_of(path, coordinates, name, workspace, max_entries)
 
 
 def save_csv(dataset: SpatialDataset, path: str | Path) -> None:

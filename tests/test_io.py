@@ -5,10 +5,22 @@ import random
 import numpy as np
 import pytest
 
-from repro import Rect, load_csv, load_npz, save_csv, save_npz, uniform_dataset
+from repro import (
+    QueryGraph,
+    Rect,
+    hard_instance,
+    load_csv,
+    load_npz,
+    save_csv,
+    save_npz,
+    uniform_dataset,
+)
 from repro.data import SpatialDataset
 from repro.geometry import RectColumns
+from repro.index.bulk import pack_tree
+from repro.index.rstar import DEFAULT_MAX_ENTRIES
 from repro.index.queries import search_items
+from repro.query.io import load_instance, save_instance
 
 
 @pytest.fixture
@@ -42,6 +54,31 @@ class TestNpz:
         path = tmp_path / "ws.npz"
         save_npz(original, path)
         assert load_npz(path).workspace == workspace
+
+    def test_node_capacity_survives_the_round_trip(self, tmp_path):
+        instance = hard_instance(QueryGraph.clique(3), 500, seed=3, max_entries=8)
+        save_instance(instance, tmp_path / "instance")
+        loaded = load_instance(tmp_path / "instance")
+        for original, reloaded in zip(instance.datasets, loaded.datasets):
+            assert reloaded.tree.max_entries == 8
+            assert reloaded.tree.height == original.tree.height == 4
+            want, got = pack_tree(original.tree), pack_tree(reloaded.tree)
+            assert got["meta"] == want["meta"]
+            for name in ("entry_bounds", "entry_children", "node_offsets", "node_levels"):
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_file_without_capacity_loads_with_the_default(self, dataset, tmp_path):
+        # the layout save_npz wrote before it stored max_entries
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            coordinates=np.asarray(dataset.columns),
+            workspace=np.array(dataset.workspace, dtype=np.float64),
+            name=np.array(dataset.name),
+        )
+        loaded = load_npz(path)
+        assert loaded.rects == dataset.rects
+        assert loaded.tree.max_entries == DEFAULT_MAX_ENTRIES
 
 
 class TestCsv:
@@ -126,7 +163,8 @@ class TestEveryLoaderValidates:
 class TestRebuiltIndexEquivalence:
     """A reloaded dataset's rebuilt R*-tree answers queries identically.
 
-    Persistence stores only the rectangles; the index is rebuilt on load.
+    Persistence stores the rectangles and the node capacity; the index is
+    rebuilt on load.
     These tests pin down that the rebuild changes nothing observable: a
     fixed workload of window queries returns exactly the same item sets
     through the rebuilt tree as through the original, for every format
