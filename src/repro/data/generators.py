@@ -17,7 +17,11 @@ Every generator fills :class:`~repro.geometry.RectColumns` directly: the
 at-a-time loop would draw it (``tests/test_data.py`` keeps those loops as the
 reference), and the arithmetic on the draws is the same IEEE operations in
 the same order, run over arrays — so a seed names the same bits either way.
-Anything transcendental (``gauss``, ``**``) stays a scalar call.
+Runs of plain ``random()`` draws (the ``uniform`` calls) are taken as one
+block of raw 32-bit outputs and converted to doubles over arrays
+(:func:`_random_rows`): the same doubles, and the same ``random.Random``
+state afterwards, as the scalar calls.  Anything else (``gauss``,
+``randrange``, ``shuffle``, ``**``) stays a scalar call.
 """
 
 from __future__ import annotations
@@ -84,9 +88,17 @@ def _random_rows(rng: random.Random, rows: int, per_row: int) -> np.ndarray:
     ``rng.uniform(a, b)`` is ``a + (b - a) * rng.random()``, so callers apply
     that affine map to a column and get what per-object ``uniform`` calls in
     column order would have produced.
+
+    ``random()`` is two 32-bit MT19937 outputs ``a``, ``b`` turned into
+    ``((a >> 5) · 2**26 + (b >> 6)) / 2**53``.  One ``getrandbits`` call
+    takes all the outputs from the same stream, the earliest in the lowest
+    32 bits, so the doubles — and ``rng``'s state afterwards, its pending
+    ``gauss`` value included — are those of the scalar calls.
     """
-    draw = rng.random
-    return np.array([draw() for _ in range(rows * per_row)]).reshape(rows, per_row)
+    count = rows * per_row
+    pairs = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
+    mantissas = ((pairs & 0xFFFFFFFF) >> 5 << 26) | (pairs >> 38)
+    return (mantissas * (1.0 / 9007199254740992.0)).reshape(rows, per_row)
 
 
 def uniform_dataset(
