@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from ..geometry import Rect, RectColumns
 from ..index import RStarTree, bulk_load_bounds
 from .density import density_of_rects
@@ -75,7 +73,7 @@ class SpatialDataset:
             self.tree = tree
         else:
             kwargs = {} if max_entries is None else {"max_entries": max_entries}
-            self.tree = bulk_load_bounds(np.asarray(columns), **kwargs)
+            self.tree = bulk_load_bounds(columns, **kwargs)
 
     # ------------------------------------------------------------------
     # container behaviour

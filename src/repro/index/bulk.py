@@ -20,9 +20,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..geometry import Rect
+from ..geometry import Rect, RectColumns
 from ..geometry.kernels import pack_bounds
-from .packed import PackedTree, bounds_keys
+from .packed import PackedTree
 from .rstar import DEFAULT_MAX_ENTRIES, RStarTree
 
 __all__ = ["bulk_load", "bulk_load_bounds", "pack_nodes", "pack_tree", "tree_from_packed"]
@@ -49,16 +49,19 @@ def bulk_load(
 
 
 def bulk_load_bounds(
-    bounds: np.ndarray,
+    bounds: np.ndarray | RectColumns,
     items: np.ndarray | None = None,
     max_entries: int = DEFAULT_MAX_ENTRIES,
     fill: float = 0.9,
     min_fill: float = 0.4,
 ) -> RStarTree:
-    """Build a packed R*-tree over the rows of an ``(n, 4)`` bounds array.
+    """Build a packed R*-tree over ``n`` rectangles (rows or columns).
 
     Parameters
     ----------
+    bounds:
+        The rectangles, as an ``(n, 4)`` array or a :class:`RectColumns`
+        table (read as it is: a dataset's columns are not re-laid out).
     items:
         Integer item of each row; the row numbers ``0 … n-1`` when omitted
         (a dataset's object ids).
@@ -70,7 +73,8 @@ def bulk_load_bounds(
     if not 0.0 < fill <= 1.0:
         raise ValueError(f"fill must be in (0, 1], got {fill}")
     tree = RStarTree(max_entries=max_entries, min_fill=min_fill)
-    count = len(bounds)
+    table = _table(bounds)
+    count = len(table)
     if not count:
         return tree
     if items is None:
@@ -83,58 +87,65 @@ def bulk_load_bounds(
     capacity = max(tree.min_entries, min(max_entries, int(round(fill * max_entries))))
     children = items.astype(np.int64, copy=False)
 
-    # bottom-up: each level is (entry bounds, entry children, node offsets)
+    # bottom-up: each level is (entry table, entry children, node offsets)
     # in build order; a level's children index the build order of the level
     # below (item ids at the leaves)
     built = []
     while True:
-        order, offsets = pack_nodes(bounds, capacity)
-        bounds, children = bounds[order], children[order]
-        built.append((bounds, children, offsets))
+        order, offsets = pack_nodes(table, capacity)
+        table, children = RectColumns(*table.take(order)), children[order]
+        built.append((table, children, offsets))
         if len(offsets) == 2:
             break
         starts = offsets[:-1]
-        bounds = np.concatenate(
-            [
-                np.minimum.reduceat(bounds[:, :2], starts),
-                np.maximum.reduceat(bounds[:, 2:], starts),
-            ],
-            axis=1,
+        table = RectColumns(
+            np.minimum.reduceat(table.xmin, starts),
+            np.minimum.reduceat(table.ymin, starts),
+            np.maximum.reduceat(table.xmax, starts),
+            np.maximum.reduceat(table.ymax, starts),
         )
         children = np.arange(len(starts), dtype=np.int64)
 
     # top-down: renumber breadth-first.  A level's nodes appear in the order
     # the level above lists them, so in BFS order the e-th internal entry of
     # the whole tree points at node e + 1.
-    level_bounds, level_children, sizes, levels = [], [], [], []
+    level_columns, level_children, sizes, levels = [], [], [], []
     nodes = np.zeros(1, dtype=np.int64)  # build-order ids of this level, BFS order
     for level in range(len(built) - 1, -1, -1):
-        bounds, children, offsets = built[level]
+        table, children, offsets = built[level]
         node_sizes = np.diff(offsets)[nodes]
         first = np.cumsum(node_sizes) - node_sizes
         take = np.repeat(offsets[:-1][nodes] - first, node_sizes) + np.arange(
             node_sizes.sum()
         )
-        level_bounds.append(bounds[take])
+        level_columns.append(table.take(take))
         level_children.append(children[take])
         sizes.append(node_sizes)
         levels.append(np.full(len(nodes), level, dtype=np.int64))
         nodes = level_children[-1]
     internal = sum(len(part) for part in level_children[:-1])
     level_children[:-1] = [np.arange(1, internal + 1, dtype=np.int64)]
+    # the keys (see bounds_keys) written coordinate by coordinate
+    keys = np.empty((4, len(level_children[-1]) + internal))
+    for row, parts in enumerate(zip(*level_columns)):
+        np.concatenate(parts, out=keys[row])
+    np.negative(keys[2:], out=keys[2:])
     packed = PackedTree(
         None,  # derived from the keys if a caller ever asks for the rows
         np.concatenate(level_children),
         np.concatenate([[0], np.cumsum(np.concatenate(sizes))]).astype(np.int64),
         np.concatenate(levels),
-        keys=bounds_keys(np.concatenate(level_bounds)),
+        keys=keys,
     )
     meta = (max_entries, tree.min_entries, tree.reinsert_count, count)
     return RStarTree.from_packed(packed, meta)
 
 
-def pack_nodes(bounds: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tile ``(n, 4)`` entry bounds into nodes of ``capacity`` by the STR sweep.
+def pack_nodes(
+    bounds: np.ndarray | RectColumns, capacity: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tile entry bounds (``(n, 4)`` or columns) into nodes of ``capacity`` by
+    the STR sweep.
 
     Entries are sorted by x-center, cut into vertical slabs of
     ``ceil(sqrt(P))`` runs (``P`` = number of nodes needed), and each slab is
@@ -148,18 +159,35 @@ def pack_nodes(bounds: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarra
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
-    count = len(bounds)
+    xmin, ymin, xmax, ymax = _table(bounds).as_tuple()
+    count = len(xmin)
     node_count = math.ceil(count / capacity)
     per_slab = math.ceil(math.sqrt(node_count)) * capacity
 
-    by_x = np.argsort((bounds[:, 0] + bounds[:, 2]) / 2.0, kind="stable")
-    center_y = (bounds[by_x, 1] + bounds[by_x, 3]) / 2.0
-    order = by_x[np.lexsort((center_y, np.arange(count) // per_slab))]
+    order = _stable_argsort((xmin + xmax) / 2.0)
+    center_y = (ymin[order] + ymax[order]) / 2.0
+    for start in range(0, count, per_slab):
+        slab = slice(start, start + per_slab)
+        order[slab] = order[slab][_stable_argsort(center_y[slab])]
     offsets = np.minimum(np.arange(node_count + 1, dtype=np.int64) * capacity, count)
     minimum = max(1, capacity // 2)
     if node_count >= 2 and offsets[-1] - offsets[-2] < minimum:
         offsets[-2] = offsets[-1] - minimum
     return order, offsets
+
+
+def _table(bounds: np.ndarray | RectColumns) -> RectColumns:
+    return bounds if isinstance(bounds, RectColumns) else RectColumns.from_bounds(bounds)
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """What ``np.argsort(keys, kind="stable")`` returns, by a quicksort when
+    the sorted keys are strictly increasing (the order is then unique)."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if (ranked[1:] > ranked[:-1]).all():
+        return order
+    return np.argsort(keys, kind="stable")  # ties: only a stable sort fixes their order
 
 
 def pack_tree(tree: RStarTree) -> dict[str, Any]:

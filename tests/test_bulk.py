@@ -5,6 +5,7 @@ The node-at-a-time STR it replaced lives on here (``reference_*``) as the
 oracle: both must produce byte-identical ``pack_tree`` output.
 """
 
+import hashlib
 import math
 import random
 
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Rect, RStarTree, bulk_load
+from repro import QueryGraph, Rect, RStarTree, bulk_load, hard_instance
 from repro.index import Node, PackedTree
 from repro.index.bulk import pack_nodes, pack_tree
 from repro.index.queries import search_items
+from repro.index.rstar import DEFAULT_MAX_ENTRIES
 
 from conftest import rect_lists, rects
 
@@ -208,3 +210,62 @@ class TestArraySTRMatchesNodeSTR:
         assert packed["entry_bounds"].shape == (0, 4)
         assert packed["node_offsets"].tolist() == [0, 0]
         assert packed["node_levels"].tolist() == [0]
+
+
+def tie_heavy_entries(count, seed, grid, duplicate_share):
+    """Centres snapped to a ``grid × grid`` lattice, a share of exact copies."""
+    rng = random.Random(seed)
+    rects = []
+    for _ in range(count):
+        if rects and rng.random() < duplicate_share:
+            rects.append(rects[rng.randrange(len(rects))])
+        else:
+            side = rng.choice((0.0, 0.01, 0.03))
+            rects.append(
+                Rect.from_center(rng.randrange(grid) / grid, rng.randrange(grid) / grid, side, side)
+            )
+    return list(zip(rects, range(count)))
+
+
+class TestSTRUnderTies:
+    """Many slabs, equal centres: the order only a stable sort gives."""
+
+    @settings(deadline=None)
+    @given(
+        count=st.integers(min_value=1_500, max_value=2_500),
+        seed=st.integers(min_value=0, max_value=2**32),
+        grid=st.integers(min_value=1, max_value=60),
+        duplicate_share=st.sampled_from([0.0, 0.3, 0.9]),
+    )
+    def test_grid_snapped_and_duplicated(self, count, seed, grid, duplicate_share):
+        entries = tie_heavy_entries(count, seed, grid, duplicate_share)
+        assert_same_arrays(entries, DEFAULT_MAX_ENTRIES)
+
+    @settings(deadline=None)
+    @given(
+        count=st.integers(min_value=1_500, max_value=2_500),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_ties_only_in_a_few_keys(self, count, seed):
+        # distinct random centres but for a handful of copies: the quicksort
+        # order is right everywhere except at the tied keys
+        entries = random_entries(count, seed)
+        rng = random.Random(seed)
+        for _ in range(3):
+            target, source = rng.randrange(count), rng.randrange(count)
+            entries[target] = (entries[source][0], target)
+        assert_same_arrays(entries, DEFAULT_MAX_ENTRIES)
+
+
+def test_paper_scale_trees_are_unchanged():
+    """The three trees of an N = 100 000 hard clique-3, by sha256 of their
+    packed arrays (recorded before generation and STR went array-at-a-time)."""
+    digest = hashlib.sha256()
+    for dataset in hard_instance(QueryGraph.clique(3), 100_000, seed=1).datasets:
+        packed = pack_tree(dataset.tree)
+        assert packed["meta"] == (DEFAULT_MAX_ENTRIES, 16, 12, 100_000)
+        for name in ARRAYS:
+            digest.update(packed[name].tobytes())
+    assert digest.hexdigest() == (
+        "ef0a1fbf19158b60e7868e87a7dbf2b4bee6a4ee10c4f19b520b597b86c19f01"
+    )
