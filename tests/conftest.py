@@ -21,8 +21,9 @@ from repro.index.queries import search_predicate
 # hypothesis profiles: HYPOTHESIS_PROFILE=deep runs every property that
 # does not pin its own example count (CI runs the R*-tree oracle
 # properties, tests/test_rstar.py -k MatchOracle, the probe memo's,
-# tests/test_best_value.py -k ProbeMemo, and the window memo's,
-# tests/test_ibb.py -k WindowMemo, so)
+# tests/test_best_value.py -k ProbeMemo, the window memo's,
+# tests/test_ibb.py -k WindowMemo, the bulk draw's, tests/test_data.py
+# -k BulkDraw, and STR's under ties, tests/test_bulk.py -k STRUnderTies, so)
 # ----------------------------------------------------------------------
 settings.register_profile("deep", max_examples=600, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
