@@ -22,7 +22,7 @@ import numpy as np
 
 from ..geometry import Rect, RectColumns
 from ..geometry.kernels import pack_bounds
-from .packed import PackedTree
+from .packed import PackedTree, columns_keys
 from .rstar import DEFAULT_MAX_ENTRIES, RStarTree
 
 __all__ = ["bulk_load", "bulk_load_bounds", "pack_nodes", "pack_tree", "tree_from_packed"]
@@ -125,17 +125,12 @@ def bulk_load_bounds(
         nodes = level_children[-1]
     internal = sum(len(part) for part in level_children[:-1])
     level_children[:-1] = [np.arange(1, internal + 1, dtype=np.int64)]
-    # the keys (see bounds_keys) written coordinate by coordinate
-    keys = np.empty((4, len(level_children[-1]) + internal))
-    for row, parts in enumerate(zip(*level_columns)):
-        np.concatenate(parts, out=keys[row])
-    np.negative(keys[2:], out=keys[2:])
     packed = PackedTree(
         None,  # derived from the keys if a caller ever asks for the rows
         np.concatenate(level_children),
         np.concatenate([[0], np.cumsum(np.concatenate(sizes))]).astype(np.int64),
         np.concatenate(levels),
-        keys=keys,
+        keys=columns_keys(level_columns),
     )
     meta = (max_entries, tree.min_entries, tree.reinsert_count, count)
     return RStarTree.from_packed(packed, meta)
@@ -181,13 +176,19 @@ def _table(bounds: np.ndarray | RectColumns) -> RectColumns:
 
 
 def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """What ``np.argsort(keys, kind="stable")`` returns, by a quicksort when
-    the sorted keys are strictly increasing (the order is then unique)."""
+    """What ``np.argsort(keys, kind="stable")`` returns for finite keys, by a
+    quicksort: only a run of equal keys can come out in another order, and
+    putting its indices back in ascending order restores the stable one."""
     order = np.argsort(keys)
     ranked = keys[order]
-    if (ranked[1:] > ranked[:-1]).all():
-        return order
-    return np.argsort(keys, kind="stable")  # ties: only a stable sort fixes their order
+    same = ranked[1:] == ranked[:-1]
+    if same.any():
+        run = np.concatenate([[0], np.cumsum(~same)])  # run number of each rank
+        tied = np.zeros(len(order), dtype=bool)
+        tied[1:] = same
+        tied[:-1] |= same
+        order[tied] = order[tied][np.lexsort((order[tied], run[tied]))]
+    return order
 
 
 def pack_tree(tree: RStarTree) -> dict[str, Any]:

@@ -38,10 +38,10 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from ..geometry import Intersects, Rect, SpatialPredicate
-from ..geometry.kernels import make_count_scorer, pack_bounds
+from ..geometry.kernels import Columns, make_count_scorer, pack_bounds
 from .node import Node
 
-__all__ = ["PackedTree", "RangeScorer", "bounds_keys"]
+__all__ = ["PackedTree", "RangeScorer", "bounds_keys", "columns_keys"]
 
 #: ``scorer(start, stop)`` → per-entry constraint counts of that entry range
 RangeScorer = Callable[[int, int], np.ndarray]
@@ -71,6 +71,17 @@ def bounds_keys(entry_bounds: np.ndarray) -> np.ndarray:
     """``(m, 4)`` bounds → C-contiguous ``(4, m)`` keys
     ``[xmin; ymin; −xmax; −ymax]`` (negation is exact, so this loses nothing)."""
     return np.ascontiguousarray((entry_bounds * _KEY_SIGNS).T)
+
+
+def columns_keys(parts: Sequence[Columns]) -> np.ndarray:
+    """The :func:`bounds_keys` of the rows of several ``(xmin, ymin, xmax,
+    ymax)`` column tuples, one after the other — written coordinate by
+    coordinate, so no row is formed."""
+    keys = np.empty((4, sum(len(columns[0]) for columns in parts)))
+    for row, coordinate in enumerate(zip(*parts)):
+        np.concatenate(coordinate, out=keys[row])
+    keys *= _KEY_SIGNS[:, None]
+    return keys
 
 
 class PackedTree:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro import QueryGraph, Rect, RStarTree, bulk_load, hard_instance
 from repro.index import Node, PackedTree
-from repro.index.bulk import pack_nodes, pack_tree
+from repro.index.bulk import _stable_argsort, pack_nodes, pack_tree
 from repro.index.queries import search_items
 from repro.index.rstar import DEFAULT_MAX_ENTRIES
 
@@ -255,6 +255,19 @@ class TestSTRUnderTies:
             target, source = rng.randrange(count), rng.randrange(count)
             entries[target] = (entries[source][0], target)
         assert_same_arrays(entries, DEFAULT_MAX_ENTRIES)
+
+    @given(
+        st.lists(
+            st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0])
+            | st.floats(allow_nan=False, allow_infinity=False),
+            max_size=300,
+        )
+    )
+    def test_sort_puts_equal_keys_in_index_order(self, keys):
+        # the quicksort with its runs of equal keys repaired is numpy's stable
+        # order; 0.0 and -0.0 are equal keys too
+        keys = np.array(keys, dtype=np.float64)
+        assert _stable_argsort(keys).tolist() == np.argsort(keys, kind="stable").tolist()
 
 
 def test_paper_scale_trees_are_unchanged():
